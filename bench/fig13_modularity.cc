@@ -11,12 +11,16 @@
  * swap: an instrumented RenameStage drop-in must leave the timing
  * bit-identical.
  */
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 
-#include "bench_common.hh"
 #include "pipeline/core.hh"
 #include "pipeline/stages/rename.hh"
+#include "sim/configs.hh"
+#include "sim/plans.hh"
+#include "sim/sweep.hh"
+#include "workloads/workload.hh"
 
 using namespace eole;
 
@@ -101,5 +105,7 @@ main()
     stageSwapDemo(full, "444.namd");
 
     // The grid itself is the "fig13" plan (see `eole run fig13`).
-    return runFigure("fig13");
+    const ExperimentPlan plan = plans::get("fig13");
+    printPlanTables(plan, runPlan(plan));
+    return 0;
 }

@@ -34,10 +34,12 @@
 #   --obs          observability lane: pipetrace smoke (Kanata header
 #                  + retire records on a real cell), proof that
 #                  attaching --telemetry leaves the artifact
-#                  byte-identical, an exit-2 run whose telemetry
-#                  stream must terminate with run_aborted, and a
-#                  3-shard sweep whose merged telemetry must summarize
-#                  to the full cell set. The zero-cost-off speed claim
+#                  byte-identical, exit-2 runs whose telemetry
+#                  streams must terminate with run_aborted (including
+#                  a `ckpt save` whose store-hit checkpoint write
+#                  fails), the filter-no-match diagnostic of `ckpt
+#                  save`, and a 3-shard sweep whose merged telemetry
+#                  must summarize to the full cell set. The zero-cost-off speed claim
 #                  is the --bench lane's job: tracer/profiler/telemetry
 #                  hooks are compiled into the hot loop, so any
 #                  disabled-path cost shows up there as a geomean
@@ -409,6 +411,46 @@ if [[ "$WITH_OBS" == 1 ]]; then
              "run_aborted" >&2
         exit 1
     fi
+
+    # `ckpt save` shares run's exit-2 paths. A filter matching nothing
+    # exits 2 listing the valid names ...
+    ckpt=(./build/eole ckpt save smoke --sample 2:2000:1000 --warmup 2000
+          --insts 20000)
+    rc=0
+    "${ckpt[@]}" --filter no_such_cell --out build/obslane/nockpt \
+        2> build/obslane/nockpt.err || rc=$?
+    if [[ "$rc" != 2 ]] \
+       || ! grep -q 'valid configs: Baseline_6_64 EOLE_4_64' \
+            build/obslane/nockpt.err \
+       || ! grep -q 'valid workloads: 164.gzip 186.crafty' \
+            build/obslane/nockpt.err; then
+        cat build/obslane/nockpt.err >&2
+        echo "check.sh: ckpt save filter-no-match did not exit 2 with" \
+             "the valid names (exit $rc)" >&2
+        exit 1
+    fi
+    # ... and a checkpoint write failure on the store-hit path (a
+    # directory squats on a .ckpt file name) still ends the telemetry
+    # stream with run_aborted.
+    if ! "${ckpt[@]}" --quiet --store build/obslane/ckptstore \
+         --out build/obslane/ckpt0; then
+        echo "check.sh: ckpt save into a fresh store FAILED" >&2
+        exit 1
+    fi
+    saved=(build/obslane/ckpt0/*.ckpt)
+    mkdir -p "build/obslane/ckpt1/$(basename "${saved[0]}")"
+    rc=0
+    "${ckpt[@]}" --quiet --store build/obslane/ckptstore \
+        --out build/obslane/ckpt1 --telemetry build/obslane/ckpt1.jsonl \
+        2>/dev/null || rc=$?
+    if [[ "$rc" != 2 ]] \
+       || ! tail -1 build/obslane/ckpt1.jsonl \
+            | grep -q '"ev":"run_aborted"'; then
+        echo "check.sh: ckpt save store-hit write failure did not exit" \
+             "2 with run_aborted (exit $rc)" >&2
+        exit 1
+    fi
+    echo "check.sh: ckpt save exit-2 paths end telemetry with run_aborted"
 
     # Sharded telemetry: three per-shard streams summarize to the full
     # smoke cell set (2 configs x 2 workloads).

@@ -7,7 +7,6 @@
 
 #include "common/env.hh"
 #include "common/logging.hh"
-#include "sim/sweep.hh"
 
 namespace eole {
 
@@ -28,20 +27,6 @@ runnerThreads()
 {
     const auto hw = std::thread::hardware_concurrency();
     return static_cast<int>(envU64("EOLE_THREADS", hw ? hw : 4));
-}
-
-std::vector<RunResult>
-runGrid(const std::vector<SimConfig> &cfgs,
-        const std::vector<std::string> &workload_names)
-{
-    // Legacy entry point: wrap the arguments in an ad-hoc plan and run
-    // it through the sweep engine (per-job seeding, worker pool, shared
-    // trace cache).
-    ExperimentPlan plan;
-    plan.name = "grid";
-    plan.configs = cfgs;
-    plan.workloads = workload_names;
-    return runPlan(plan).cells;
 }
 
 const RunResult &

@@ -1,7 +1,7 @@
 /**
  * @file
- * Experiment infrastructure: parallel (configuration x workload) grid
- * execution and paper-style table formatting.
+ * Experiment infrastructure: per-cell results, run-length knobs and
+ * paper-style table formatting (grids run through sim/sweep.hh).
  *
  * Run lengths follow DESIGN.md §5: each (config, workload) pair warms
  * all structures for EOLE_WARMUP µ-ops (default 1M) and measures for
@@ -51,23 +51,6 @@ std::uint64_t measureUops();
 
 /** Worker threads for grids (EOLE_THREADS env var, default = cores). */
 int runnerThreads();
-
-/**
- * Run every (config, workload) pair in parallel (a thin wrapper over
- * the sweep engine, sim/sweep.hh).
- *
- * Each cell runs with a deterministic per-job seed derived from the
- * cell identity and the config's seed field (sim/plan.hh jobSeed) —
- * not with SimConfig::seed verbatim — so results are independent of
- * worker count and scheduling.
- *
- * @param cfgs configurations (names must be unique)
- * @param workload_names registry names (see workloads::allNames())
- * @return results in (config-major, workload-minor) order
- */
-std::vector<RunResult> runGrid(const std::vector<SimConfig> &cfgs,
-                               const std::vector<std::string>
-                                   &workload_names);
 
 /** Find a result in a grid (fatal if absent). */
 const RunResult &findResult(const std::vector<RunResult> &results,

@@ -3,10 +3,10 @@
  * ExperimentPlan: a declarative (configuration x workload) sweep grid.
  *
  * A plan is pure data — configs, workload names, run lengths, a base
- * seed and the paper-style tables to print — expanded by the sweep
+ * seed and the paper-style tables to print — expanded by the run
  * engine (sim/sweep.hh) into independent jobs. Every figure of the
- * paper is a named plan in sim/plans.hh; the per-figure bench binaries
- * and the `eole` CLI both drive plans through the same engine. Plans
+ * paper is a named plan in sim/plans.hh, which the `eole` CLI and the
+ * C++ API drive through the same engine. Plans
  * can also be authored as text (sim/planfile.hh, `eole run --plan`):
  * a base config plus axes of registry keys (sim/params.hh) expands to
  * the same structure without recompiling.
@@ -75,8 +75,8 @@ std::string sampleSpecString(const SampleSpec &spec);
  * spec (CLI --sample) wins over the plan's own (plan-file `sample =`
  * directive); a disabled spec means "unset" at every level, so a plan
  * without a sample directive resolves to "full run" unless the CLI
- * asks otherwise. The one spelling of this precedence, shared by
- * `eole run` and `eole ckpt save`.
+ * asks otherwise. The one spelling of this precedence, applied by the
+ * CLI's shared `run`/`shard`/`ckpt save` flag parsing.
  */
 SampleSpec resolveSampleSpec(const SampleSpec &option_spec,
                              const SampleSpec &plan_spec);

@@ -1,20 +1,10 @@
 #include "sim/sample/sample.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cmath>
-#include <mutex>
-#include <thread>
 
-#include "common/env.hh"
 #include "common/logging.hh"
 #include "pipeline/core.hh"
-#include "sim/params.hh"
-#include "sim/store.hh"
-#include "sim/telemetry.hh"
-#include "sim/trace_cache.hh"
-#include "workloads/workload.hh"
 
 namespace eole {
 
@@ -38,16 +28,6 @@ tCritical(std::size_t df)
         return tCrit[df - 1];
     return 1.96;
 }
-
-/** One interval's measurement. */
-struct IntervalResult
-{
-    std::uint64_t start = 0;      //!< measured-interval start µ-op
-    std::uint64_t warmedUops = 0; //!< functionally warmed µ-ops
-    std::uint64_t committed = 0;  //!< measured µ-ops
-    std::uint64_t cycles = 0;     //!< measured cycles
-    bool restored = false;        //!< fed from a v2 checkpoint
-};
 
 } // namespace
 
@@ -123,31 +103,6 @@ meanCi95(const std::vector<double> &xs)
     return out;
 }
 
-std::vector<std::uint64_t>
-warmCheckpointIndices(const std::vector<std::uint64_t> &starts,
-                      std::uint64_t trace_len, const SampleSpec &spec)
-{
-    std::vector<std::uint64_t> idxs;
-    idxs.reserve(starts.size());
-    for (const std::uint64_t s : starts) {
-        const std::uint64_t start = std::min(s, trace_len);
-        idxs.push_back(start >= spec.detailUops
-                           ? start - spec.detailUops
-                           : 0);
-    }
-    return idxs;
-}
-
-std::uint64_t
-sampleTraceUopsNeeded(const ExperimentPlan &plan,
-                      const SampleSpec &spec, std::uint64_t warmup,
-                      std::uint64_t measure, std::uint64_t max_start)
-{
-    const std::uint64_t furthest =
-        std::max(warmup + measure, max_start + spec.intervalUops);
-    return furthest + maxInflightUops(plan);
-}
-
 std::vector<std::shared_ptr<const Checkpoint>>
 warmOnceCheckpoints(const SimConfig &cfg, const Workload &workload,
                     const std::shared_ptr<const FrozenTrace> &trace,
@@ -175,415 +130,6 @@ warmOnceCheckpoints(const SimConfig &cfg, const Workload &workload,
         core.captureWarmState(*ckpt);
         out.push_back(std::move(ckpt));
     }
-    return out;
-}
-
-PlanResult
-runSampledPlan(const ExperimentPlan &plan, const SampleSpec &spec,
-               const SweepOptions &options)
-{
-    fatal_if(!spec.enabled(), "runSampledPlan: spec is disabled");
-    validatePlanConfigs(plan);
-
-    // Bounded warming is per-interval by construction (each interval
-    // warms at most B µ-ops of its own prefix), so the warm-once
-    // checkpoints apply to the continuous (B=0) mode only;
-    // options.sampleRewarm forces the legacy path there for
-    // differential validation.
-    const bool warmOnce = spec.warmBound == 0 && !options.sampleRewarm;
-
-    PlanResult out;
-    out.plan = plan.name;
-    out.seed = plan.seed;
-    out.warmup = resolveRunLength(options.warmup, plan.warmup,
-                                  "EOLE_WARMUP", defaultWarmupUops);
-    out.measure = resolveRunLength(options.measure, plan.measure,
-                                   "EOLE_INSTS", defaultMeasureUops);
-    out.filter = options.filter;
-    out.sample = spec;
-
-    // Expand matched cells (config-major artifact order) and place
-    // each cell's intervals up front — the placement depends only on
-    // run lengths and the cell seed, never on the recorded trace.
-    struct Cell
-    {
-        std::size_t cfg;
-        std::size_t wl;
-        std::vector<std::uint64_t> starts;
-        std::vector<IntervalResult> intervals;  //!< pre-assigned slots
-        /** Warm-once per-interval checkpoints (phase-1 slots; each
-         *  consumed and released by its interval job). */
-        std::vector<std::shared_ptr<const Checkpoint>> ckpts;
-    };
-    std::vector<Cell> cells;
-    for (std::size_t c = 0; c < plan.configs.size(); ++c) {
-        for (std::size_t w = 0; w < plan.workloads.size(); ++w) {
-            if (!cellMatches(options.filter, plan.configs[c].name,
-                             plan.workloads[w])
-                || !options.shard.owns(plan.seed, plan.configs[c].seed,
-                                       plan.configs[c].name,
-                                       plan.workloads[w]))
-                continue;
-            Cell cell;
-            cell.cfg = c;
-            cell.wl = w;
-            cells.push_back(std::move(cell));
-        }
-    }
-    out.cells.resize(cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        RunResult &rr = out.cells[i];
-        rr.config = plan.configs[cells[i].cfg].name;
-        rr.workload = plan.workloads[cells[i].wl];
-        rr.seed = jobSeed(plan.seed, plan.configs[cells[i].cfg].seed,
-                          rr.config, rr.workload);
-        rr.params = configKeyValues(plan.configs[cells[i].cfg]);
-        // Per-config `runlen` overrides move that config's sampled
-        // region; placement stays a pure function of (lengths, seed).
-        cells[i].starts = placeIntervals(
-            out.warmup, resolveMeasureFor(options.measure, plan, rr.config),
-            spec, rr.seed);
-        cells[i].intervals.resize(cells[i].starts.size());
-        cells[i].ckpts.resize(cells[i].starts.size());
-    }
-    if (options.telemetry) {
-        for (const RunResult &rr : out.cells)
-            options.telemetry->cellQueued(rr.config, rr.workload);
-    }
-
-    // Content-addressed store, serial pre-pass (mirrors runPlan): a
-    // cached cell loads its reduced stats here and expands into no
-    // warming or interval jobs at all — the sample spec is part of
-    // the key, so sampled and full results never alias.
-    const auto cellStoreKey = [&](std::size_t i) {
-        StoreKey key;
-        key.kind = "cell";
-        key.config = out.cells[i].config;
-        key.params = out.cells[i].params;
-        key.workload = out.cells[i].workload;
-        key.seed = out.cells[i].seed;
-        key.warmup = out.warmup;
-        key.measure = resolveMeasureFor(options.measure, plan,
-                                        out.cells[i].config);
-        key.sample = spec;
-        return key;
-    };
-    std::vector<char> cellCached(cells.size(), 0);
-    if (options.store) {
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            const std::string hash = storeKeyHash(cellStoreKey(i));
-            std::string payload;
-            if (!options.store->get(hash, &payload))
-                continue;
-            std::string err;
-            fatal_if(!tryParseCellPayload(payload,
-                                          &out.cells[i].stats, &err),
-                     "store %s: object %s: %s (delete the store "
-                     "directory to rebuild it)",
-                     options.store->directory().c_str(), hash.c_str(),
-                     err.c_str());
-            cellCached[i] = 1;
-            ++out.storeHits;
-        }
-    }
-    const auto storeFinish = [&] {
-        if (!options.store)
-            return;
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            if (cellCached[i])
-                continue;
-            options.store->put(cellStoreKey(i),
-                               cellPayloadText(out.cells[i].stats));
-            ++out.storeComputed;
-        }
-        options.store->flush();
-        if (options.telemetry)
-            options.telemetry->storeCounts(out.storeHits, out.storeComputed);
-    };
-
-    // Flatten (cell, interval) into the job list, workload-major like
-    // the full-run engine so trace sharing clusters per workload; the
-    // warm-once warming pass adds one phase-1 job per cell in the
-    // same order.
-    struct Job
-    {
-        std::size_t cell;
-        std::size_t interval;
-    };
-    std::vector<Job> jobs;
-    std::vector<std::size_t> warmJobs;  //!< phase-1 cell indices
-    std::vector<std::size_t> jobsPerWorkload(plan.workloads.size(), 0);
-    for (std::size_t w = 0; w < plan.workloads.size(); ++w) {
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            if (cells[i].wl != w || cellCached[i])
-                continue;
-            if (warmOnce && !cells[i].starts.empty()) {
-                warmJobs.push_back(i);
-                ++jobsPerWorkload[w];
-            }
-            for (std::size_t k = 0; k < cells[i].starts.size(); ++k) {
-                jobs.push_back(Job{i, k});
-                ++jobsPerWorkload[w];
-            }
-        }
-    }
-    if (jobs.empty()) {
-        storeFinish();
-        return out;
-    }
-
-    // The degenerate single interval of a too-short region may run
-    // past warmup+measure; size recordings for the furthest fetch any
-    // interval can reach.
-    std::uint64_t maxStart = 0;
-    for (const Cell &cell : cells) {
-        for (const std::uint64_t s : cell.starts)
-            maxStart = std::max(maxStart, s);
-    }
-    std::uint64_t longestMeasure = out.measure;
-    for (const SimConfig &c : plan.configs) {
-        longestMeasure = std::max(
-            longestMeasure, resolveMeasureFor(options.measure, plan, c.name));
-    }
-    const std::uint64_t traceUopsNeeded = sampleTraceUopsNeeded(
-        plan, spec, out.warmup, longestMeasure, maxStart);
-
-    TraceCache cache;
-    std::vector<std::atomic<std::size_t>> remaining(plan.workloads.size());
-    for (std::size_t w = 0; w < plan.workloads.size(); ++w)
-        remaining[w].store(jobsPerWorkload[w], std::memory_order_relaxed);
-
-    const std::size_t totalJobs = warmJobs.size() + jobs.size();
-    std::atomic<std::size_t> done{0};
-    std::mutex progressMu;
-
-    const auto jobFinished = [&](const Cell &cell, const RunResult &rr,
-                                 const StatRecord &stats) {
-        if (remaining[cell.wl].fetch_sub(1) == 1)
-            cache.drop(rr.workload);
-        const std::size_t finished = done.fetch_add(1) + 1;
-        if (options.progress) {
-            RunResult partial;
-            partial.config = rr.config;
-            partial.workload = rr.workload;
-            partial.seed = rr.seed;
-            partial.stats = stats;
-            std::lock_guard<std::mutex> lock(progressMu);
-            options.progress(finished, totalJobs, partial);
-        }
-    };
-
-    // ---- Phase 1 (warm-once mode): one continuous warming pass per
-    // cell, dropping a µarch-bearing v2 checkpoint at each interval's
-    // detailed-warmup start. Cells are independent pool jobs; slots
-    // (cell.ckpts, interval start/warmedUops accounting) are
-    // pre-assigned, so the phase is deterministic regardless of
-    // worker count.
-    if (warmOnce) {
-        runOnWorkerPool(warmJobs.size(), options.jobs,
-                        [&](std::size_t j, int worker) {
-            Cell &cell = cells[warmJobs[j]];
-            const RunResult &rr = out.cells[warmJobs[j]];
-
-            if (options.telemetry)
-                options.telemetry->jobStart("warm", rr.config, rr.workload,
-                                            worker);
-            const auto t0 = std::chrono::steady_clock::now();
-
-            SimConfig cfg = plan.configs[cell.cfg];
-            cfg.seed = rr.seed;
-
-            Workload w = workloads::build(rr.workload);
-            std::shared_ptr<const FrozenTrace> trace;
-            if (options.useTraceCache)
-                trace = cache.get(w, traceUopsNeeded);
-            if (!trace) {
-                // Budget pressure / cache disabled: a private
-                // recording bounded to the warming pass's own horizon
-                // (the furthest interval start; consistent with the
-                // cached clamps because every start <= the request).
-                trace = w.freeze(std::min(traceUopsNeeded,
-                                          cell.starts.back()));
-            }
-            const std::uint64_t len = trace->uops.size();
-
-            const std::vector<std::uint64_t> idxs =
-                warmCheckpointIndices(cell.starts, len, spec);
-            std::uint64_t prev = 0;
-            for (std::size_t k = 0; k < cell.starts.size(); ++k) {
-                IntervalResult &iv = cell.intervals[k];
-                iv.start =
-                    std::min<std::uint64_t>(cell.starts[k], len);
-                iv.warmedUops = idxs[k] - std::min(prev, idxs[k]);
-                prev = idxs[k];
-            }
-            cell.ckpts = warmOnceCheckpoints(cfg, w, trace, idxs);
-
-            StatRecord stats;
-            stats.add("sample_ckpts",
-                      static_cast<double>(cell.ckpts.size()));
-            if (options.telemetry) {
-                const double wall_ms =
-                    std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0).count();
-                options.telemetry->jobFinish("warm", rr.config, rr.workload,
-                                             worker, wall_ms, true);
-            }
-            jobFinished(cell, rr, stats);
-        });
-    }
-
-    // ---- Phase 2: the measurement intervals. Warm-once jobs restore
-    // the phase-1 checkpoint; the legacy path functionally re-warms
-    // its own prefix (bounded by B when set).
-    runOnWorkerPool(jobs.size(), options.jobs, [&](std::size_t j,
-                                                   int worker) {
-        const Job &job = jobs[j];
-        Cell &cell = cells[job.cell];
-        const RunResult &rr = out.cells[job.cell];
-        IntervalResult &iv = cell.intervals[job.interval];
-
-        if (options.telemetry)
-            options.telemetry->jobStart("interval", rr.config, rr.workload,
-                                        worker,
-                                        static_cast<long>(job.interval));
-        const auto t0 = std::chrono::steady_clock::now();
-
-        SimConfig cfg = plan.configs[cell.cfg];
-        cfg.seed = rr.seed;
-
-        Workload w = workloads::build(rr.workload);
-        std::shared_ptr<const FrozenTrace> trace;
-        if (options.useTraceCache)
-            trace = cache.get(w, traceUopsNeeded);
-        if (!trace) {
-            // Budget pressure / cache disabled: a private
-            // recording (checkpointed starts need a frozen
-            // trace), bounded to this interval's own fetch
-            // horizon so residency stays proportional to the job
-            // instead of the whole run.
-            const std::uint64_t jobNeeded =
-                std::min(traceUopsNeeded,
-                         cell.starts[job.interval]
-                             + spec.intervalUops
-                             + maxInflightUops(plan));
-            trace = w.freeze(jobNeeded);
-        }
-        const std::uint64_t len = trace->uops.size();
-
-        std::shared_ptr<const Checkpoint> ckpt;
-        std::uint64_t start, ckptIdx;
-        if (warmOnce) {
-            // The phase-1 checkpoint is the start point; its µ-op
-            // index already reflects the trace-length clamps.
-            ckpt = std::move(cell.ckpts[job.interval]);
-            cell.ckpts[job.interval].reset();
-            start = iv.start;
-            ckptIdx = ckpt->uopIndex;
-        } else {
-            start = std::min<std::uint64_t>(cell.starts[job.interval],
-                                            len);
-            ckptIdx =
-                start >= spec.detailUops ? start - spec.detailUops : 0;
-            ckpt = std::make_shared<Checkpoint>(
-                captureAt(*trace, rr.workload, ckptIdx));
-            iv.start = start;
-        }
-        const std::uint64_t detail = start - ckptIdx;
-
-        Workload wc = w;
-        wc.frozen = trace;
-        wc.start = ckpt;
-
-        iv.restored = warmOnce;
-        {
-            Core core(cfg, wc);
-            if (warmOnce) {
-                core.restoreWarmState(*ckpt);
-            } else {
-                // Bounded warming (spec.warmBound != 0) caps the
-                // functionally-warmed window before each interval; 0
-                // keeps classic SMARTS continuous warming over the
-                // whole prefix.
-                const std::uint64_t warmBegin =
-                    spec.warmBound && ckptIdx > spec.warmBound
-                        ? ckptIdx - spec.warmBound
-                        : 0;
-                iv.warmedUops = ckptIdx - warmBegin;
-                core.functionalWarm(*trace, warmBegin, ckptIdx);
-            }
-            if (detail) {
-                core.run(detail, detail * 60 + 1000000);
-            }
-            core.resetTiming();
-            iv.committed = core.run(spec.intervalUops,
-                                    spec.intervalUops * 60 + 1000000);
-            iv.cycles = core.pipelineState().cycles;
-        }
-        wc.frozen.reset();
-        wc.start.reset();
-        ckpt.reset();
-        trace.reset();
-
-        StatRecord stats;
-        stats.add("interval_start", static_cast<double>(iv.start));
-        stats.add("ipc", ratio(static_cast<double>(iv.committed),
-                               static_cast<double>(iv.cycles)));
-        if (options.telemetry) {
-            const double wall_ms = std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - t0).count();
-            options.telemetry->jobFinish("interval", rr.config, rr.workload,
-                                         worker, wall_ms, true,
-                                         static_cast<long>(job.interval));
-        }
-        jobFinished(cell, rr, stats);
-    });
-
-    if (options.telemetry && options.useTraceCache)
-        options.telemetry->traceCacheCounts(cache.hitCount(),
-                                            cache.missCount(),
-                                            cache.fileHitCount(),
-                                            cache.fileMissCount(),
-                                            cache.evictCount());
-
-    // Reduce each cell in slot order (deterministic float order).
-    // Cached cells carry their reduced stats already (store pre-pass)
-    // and must not be re-reduced from their empty interval slots.
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (cellCached[i])
-            continue;
-        RunResult &rr = out.cells[i];
-        std::vector<double> ipcs;
-        std::uint64_t cycles = 0, committed = 0, warmed = 0;
-        std::uint64_t restored = 0;
-        for (const IntervalResult &iv : cells[i].intervals) {
-            warmed += iv.warmedUops;
-            if (iv.restored)
-                ++restored;
-            if (iv.committed == 0 || iv.cycles == 0)
-                continue;  // interval past the end of a short workload
-            ipcs.push_back(ratio(static_cast<double>(iv.committed),
-                                 static_cast<double>(iv.cycles)));
-            cycles += iv.cycles;
-            committed += iv.committed;
-        }
-        const MeanCi ci = meanCi95(ipcs);
-        rr.stats.add("ipc", ci.mean);
-        rr.stats.add("ipc_ci95", ci.ci95);
-        rr.stats.add("ipc_stddev", ci.stddev);
-        rr.stats.add("cycles", static_cast<double>(cycles));
-        rr.stats.add("committed_uops", static_cast<double>(committed));
-        rr.stats.add("sample_intervals",
-                     static_cast<double>(ipcs.size()));
-        rr.stats.add("sample_interval_uops",
-                     static_cast<double>(spec.intervalUops));
-        rr.stats.add("sample_detail_uops",
-                     static_cast<double>(spec.detailUops));
-        rr.stats.add("sample_warm_uops", static_cast<double>(warmed));
-        rr.stats.add("sample_restored_intervals",
-                     static_cast<double>(restored));
-    }
-    storeFinish();
     return out;
 }
 

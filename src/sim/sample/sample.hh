@@ -23,15 +23,16 @@
  * (same warmed state ⇒ same measurements; pinned by the differential
  * test in tests/test_sample.cc). Bounded warming (B>0) and
  * SweepOptions::sampleRewarm keep the legacy per-interval warming
- * path. `eole ckpt save` writes the same per-interval checkpoints to
- * disk so later sharding PRs can ship them across hosts.
+ * path.
  *
- * Scheduling: warm-once cells, then all intervals of all cells, run
- * as independent jobs on the PR 2 worker pool, sharing each workload's
- * frozen trace through the sweep engine's trace cache. Per-cell seeds
- * follow the jobSeed discipline, results land in pre-assigned slots,
- * and the reduction walks them in slot order — so sampled artifacts
- * are byte-identical regardless of --jobs and cache settings, exactly
+ * Execution is the run engine's job graph (sim/sweep.hh): a sampled
+ * run is one `warm` job per cell, then one `interval` job per placed
+ * interval, reduced to the stats below; saveCheckpoints is the same
+ * graph stopped after `warm`, so the checkpoints it writes are exactly
+ * the ones a sampled run restores from. Per-cell seeds follow the
+ * jobSeed discipline, results land in pre-assigned slots, and the
+ * reduction walks them in slot order — so sampled artifacts are
+ * byte-identical regardless of --jobs and cache settings, exactly
  * like full runs.
  *
  * The reduction records, per cell:
@@ -58,6 +59,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "isa/checkpoint.hh"
@@ -79,7 +81,7 @@ namespace eole {
  * interval MAY extend past the region when measure < W or the
  * detail-clamp pushes it late: size trace recordings from the placed
  * starts (max(start) + W + inflight), not from warmup + measure
- * alone (runSampledPlan's `furthest` computation).
+ * alone (as the run engine does).
  */
 std::vector<std::uint64_t> placeIntervals(std::uint64_t warmup,
                                           std::uint64_t measure,
@@ -94,34 +96,6 @@ std::uint64_t intervalSeed(std::uint64_t cell_seed,
                            std::uint64_t interval_index);
 
 /**
- * Clamp placed interval starts to a trace length and derive each
- * interval's checkpoint index — the first µ-op of its detailed-warmup
- * prefix (start - D, floored at 0). The ONE spelling of the warm-once
- * placement arithmetic, shared by runSampledPlan's warming phase and
- * `eole ckpt save` so the written checkpoints are exactly the ones a
- * sampled run restores from. Indices come back non-decreasing;
- * clamped short-workload intervals may repeat the final index
- * (identical checkpoints — consumers can skip duplicates).
- */
-std::vector<std::uint64_t> warmCheckpointIndices(
-    const std::vector<std::uint64_t> &starts, std::uint64_t trace_len,
-    const SampleSpec &spec);
-
-/**
- * How many trace µ-ops a sampled run of @p plan can touch: the
- * nominal region or the furthest placed interval (@p max_start is the
- * maximum start across every cell; a degenerate short region can push
- * one interval past warmup+measure), plus W and the in-flight
- * allowance. Shared by runSampledPlan and `eole ckpt save` so both
- * record traces with identical clamping behaviour.
- */
-std::uint64_t sampleTraceUopsNeeded(const ExperimentPlan &plan,
-                                    const SampleSpec &spec,
-                                    std::uint64_t warmup,
-                                    std::uint64_t measure,
-                                    std::uint64_t max_start);
-
-/**
  * One continuous warming pass over @p trace for a cell of @p cfg
  * (whose seed must already be the resolved cell seed): stream µ-ops
  * [0, idx) through a fresh core's warmable components and capture an
@@ -130,8 +104,7 @@ std::uint64_t sampleTraceUopsNeeded(const ExperimentPlan &plan,
  * @p ckpt_indices (non-decreasing; clamped to the trace length).
  * Piecewise warming is state-identical to one uninterrupted pass, so
  * checkpoint k holds exactly the state continuous warming of its
- * whole prefix would produce. Shared by runSampledPlan's warm-once
- * phase and `eole ckpt save`.
+ * whole prefix would produce. The run engine's `warm` job.
  */
 std::vector<std::shared_ptr<const Checkpoint>> warmOnceCheckpoints(
     const SimConfig &cfg, const Workload &workload,
@@ -158,6 +131,33 @@ MeanCi meanCi95(const std::vector<double> &xs);
 PlanResult runSampledPlan(const ExperimentPlan &plan,
                           const SampleSpec &spec,
                           const SweepOptions &options = {});
+
+/** What saveCheckpoints produced. */
+struct SavedCheckpoints
+{
+    /** Resolved run header, the matched cells (without stats) and the
+     *  store accounting (one count per checkpoint). */
+    PlanResult run;
+    /** Files written, config-major then by interval. Intervals clamped
+     *  to the end of a short workload share their final file. */
+    std::vector<std::string> files;
+    /** Some file could not be written (every other one was). */
+    bool writeFailed = false;
+};
+
+/**
+ * `eole ckpt save`: run @p plan's sampled job graph up to its `warm`
+ * jobs and write each interval's checkpoint into @p dir (which must
+ * exist) as `<config>__<workload>__u<index>.ckpt` — exactly the
+ * checkpoints runSampledPlan restores from (bounded warming, B>0,
+ * still warms once here). With options.store, every checkpoint is
+ * also stored under a `ckpt` key, and a cell whose checkpoints all
+ * resolve skips its warming pass and writes the files from the store.
+ */
+SavedCheckpoints saveCheckpoints(const ExperimentPlan &plan,
+                                 const SampleSpec &spec,
+                                 const SweepOptions &options,
+                                 const std::string &dir);
 
 } // namespace eole
 

@@ -41,39 +41,20 @@ runShard(const ExperimentPlan &plan, const SampleSpec &spec,
     out.storeHits = result.storeHits;
     out.storeComputed = result.storeComputed;
 
-    // Global slots: the config-major enumeration of filter-matched
-    // cells (shard ignored) is exactly the single-host artifact's cell
-    // order, and this shard's result cells are its owned subsequence
-    // of that enumeration — both engines emit config-major order.
-    std::size_t owned = 0;
-    for (std::size_t c = 0; c < plan.configs.size(); ++c) {
-        for (std::size_t w = 0; w < plan.workloads.size(); ++w) {
-            if (!cellMatches(options.filter, plan.configs[c].name,
-                             plan.workloads[w]))
-                continue;
-            const std::uint64_t slot = out.cellsTotal++;
-            if (!options.shard.owns(plan.seed, plan.configs[c].seed,
-                                    plan.configs[c].name,
-                                    plan.workloads[w]))
-                continue;
-            fatal_if(owned >= result.cells.size()
-                         || result.cells[owned].config
-                                != plan.configs[c].name
-                         || result.cells[owned].workload
-                                != plan.workloads[w],
-                     "runShard: engine cell order diverged from the "
-                     "shard enumeration at slot %llu",
-                     (unsigned long long)slot);
-            ShardCell sc;
-            sc.slot = slot;
-            sc.cell = result.cells[owned++];
-            out.cells.push_back(std::move(sc));
-        }
+    // Global slots come from the same enumeration the engine ran, so
+    // this shard's result cells line up with its matched cells.
+    const MatchedCells matched =
+        matchCells(plan, options.filter, options.shard);
+    out.cellsTotal = matched.filterMatched;
+    fatal_if(matched.cells.size() != result.cells.size(),
+             "runShard: engine produced %zu cells but the shard owns %zu",
+             result.cells.size(), matched.cells.size());
+    for (std::size_t i = 0; i < matched.cells.size(); ++i) {
+        ShardCell sc;
+        sc.slot = matched.cells[i].slot;
+        sc.cell = result.cells[i];
+        out.cells.push_back(std::move(sc));
     }
-    fatal_if(owned != result.cells.size(),
-             "runShard: engine produced %zu cells but the shard "
-             "enumeration owns %zu",
-             result.cells.size(), owned);
     return out;
 }
 

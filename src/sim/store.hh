@@ -27,8 +27,8 @@
  * Recency is a persisted logical tick (monotone counter), not wall
  * time, so eviction order is deterministic and testable: `gc` drops
  * lowest-tick objects first, and every hit bumps its object's tick.
- * One process owns a store directory at a time (the engines call the
- * store only from their serial pre/post phases; there is no
+ * One process owns a store directory at a time (the run engine calls
+ * the store only from its serial pre/post passes; there is no
  * cross-process locking).
  */
 

@@ -1,20 +1,6 @@
 #include "sim/sweep.hh"
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdio>
-#include <mutex>
-#include <thread>
-
-#include "common/env.hh"
-#include "common/logging.hh"
-#include "pipeline/core.hh"
-#include "sim/params.hh"
-#include "sim/store.hh"
-#include "sim/telemetry.hh"
-#include "sim/trace_cache.hh"
-#include "workloads/workload.hh"
 
 namespace eole {
 
@@ -29,281 +15,12 @@ PlanResult::find(const std::string &config, const std::string &workload) const
 }
 
 void
-validatePlanConfigs(const ExperimentPlan &plan)
-{
-    for (std::size_t i = 0; i < plan.configs.size(); ++i) {
-        for (std::size_t j = i + 1; j < plan.configs.size(); ++j) {
-            fatal_if(plan.configs[i].name == plan.configs[j].name,
-                     "plan %s: duplicate config name %s", plan.name.c_str(),
-                     plan.configs[i].name.c_str());
-        }
-    }
-}
-
-void
-runOnWorkerPool(std::size_t num_jobs, int jobs_option,
-                const std::function<void(std::size_t job, int worker)> &body)
-{
-    std::atomic<std::size_t> next{0};
-    auto worker = [&](int me) {
-        for (;;) {
-            const std::size_t j = next.fetch_add(1);
-            if (j >= num_jobs)
-                return;
-            body(j, me);
-        }
-    };
-    const std::size_t nthreads = std::min<std::size_t>(
-        jobs_option > 0 ? jobs_option : runnerThreads(), num_jobs);
-    if (nthreads <= 1) {
-        worker(0);
-        return;
-    }
-    std::vector<std::thread> pool;
-    pool.reserve(nthreads);
-    for (std::size_t t = 0; t < nthreads; ++t)
-        pool.emplace_back(worker, static_cast<int>(t));
-    for (auto &t : pool)
-        t.join();
-}
-
-void
-runOnWorkerPool(std::size_t num_jobs, int jobs_option,
-                const std::function<void(std::size_t)> &body)
-{
-    runOnWorkerPool(num_jobs, jobs_option,
-                    [&](std::size_t j, int) { body(j); });
-}
-
-PlanResult
-runPlan(const ExperimentPlan &plan, const SweepOptions &options)
-{
-    validatePlanConfigs(plan);
-
-    PlanResult out;
-    out.plan = plan.name;
-    out.seed = plan.seed;
-    // Precedence documented in common/env.hh: option > plan > env >
-    // default.
-    out.warmup = resolveRunLength(options.warmup, plan.warmup,
-                                  "EOLE_WARMUP", defaultWarmupUops);
-    out.measure = resolveRunLength(options.measure, plan.measure,
-                                   "EOLE_INSTS", defaultMeasureUops);
-    out.filter = options.filter;
-
-    // Expand matched cells. Result slots are config-major (the artifact
-    // order); jobs run workload-major so configurations sharing one
-    // workload's frozen trace cluster together and the trace can be
-    // dropped once its last job completes.
-    struct Job
-    {
-        std::size_t cfg;
-        std::size_t wl;
-        std::size_t slot;
-    };
-    std::vector<Job> jobs;
-    std::vector<std::size_t> jobsPerWorkload(plan.workloads.size(), 0);
-    // A shard slice behaves exactly like a filter: unowned cells never
-    // expand into jobs, slots or artifact cells (sim/shard.hh carries
-    // the global slot numbering partial artifacts merge by).
-    const auto matched = [&](std::size_t c, std::size_t w) {
-        return cellMatches(options.filter, plan.configs[c].name,
-                           plan.workloads[w])
-            && options.shard.owns(plan.seed, plan.configs[c].seed,
-                                  plan.configs[c].name,
-                                  plan.workloads[w]);
-    };
-    for (std::size_t w = 0; w < plan.workloads.size(); ++w) {
-        for (std::size_t c = 0; c < plan.configs.size(); ++c) {
-            if (matched(c, w)) {
-                jobs.push_back(Job{c, w, 0});
-                ++jobsPerWorkload[w];
-            }
-        }
-    }
-    // Assign config-major output slots.
-    out.cells.resize(jobs.size());
-    {
-        std::vector<Job *> byCell;
-        byCell.reserve(jobs.size());
-        for (Job &j : jobs)
-            byCell.push_back(&j);
-        std::size_t slot = 0;
-        for (std::size_t c = 0; c < plan.configs.size(); ++c) {
-            for (Job *j : byCell) {
-                if (j->cfg == c)
-                    j->slot = slot++;
-            }
-        }
-    }
-    for (const Job &j : jobs) {
-        RunResult &cell = out.cells[j.slot];
-        cell.config = plan.configs[j.cfg].name;
-        cell.workload = plan.workloads[j.wl];
-        cell.seed = jobSeed(plan.seed, plan.configs[j.cfg].seed,
-                            cell.config, cell.workload);
-        // The canonical config map of the cell as declared by the plan
-        // (the per-job seed the cell actually ran with is the "seed"
-        // field above; the map records the config's own seed knob).
-        cell.params = configKeyValues(plan.configs[j.cfg]);
-    }
-    if (options.telemetry) {
-        for (const RunResult &cell : out.cells)
-            options.telemetry->cellQueued(cell.config, cell.workload);
-    }
-
-    // Content-addressed store, serial pre-pass: a cell whose key (the
-    // complete canonical inputs — config map, workload, seed, resolved
-    // lengths; sim/store.hh) already resolves loads its stats and
-    // sheds its job. The payload round-trips %.17g-exactly, so hit
-    // cells and computed cells serialize byte-identically.
-    std::vector<std::string> cellKey(out.cells.size());
-    std::vector<char> cellCached(out.cells.size(), 0);
-    if (options.store) {
-        for (std::size_t i = 0; i < out.cells.size(); ++i) {
-            RunResult &cell = out.cells[i];
-            StoreKey key;
-            key.kind = "cell";
-            key.config = cell.config;
-            key.params = cell.params;
-            key.workload = cell.workload;
-            key.seed = cell.seed;
-            key.warmup = out.warmup;
-            key.measure =
-                resolveMeasureFor(options.measure, plan, cell.config);
-            cellKey[i] = storeKeyHash(key);
-            std::string payload;
-            if (!options.store->get(cellKey[i], &payload))
-                continue;
-            std::string err;
-            fatal_if(!tryParseCellPayload(payload, &cell.stats, &err),
-                     "store %s: object %s: %s (delete the store "
-                     "directory to rebuild it)",
-                     options.store->directory().c_str(),
-                     cellKey[i].c_str(), err.c_str());
-            cellCached[i] = 1;
-            ++out.storeHits;
-        }
-        std::erase_if(jobs, [&](const Job &j) {
-            if (!cellCached[j.slot])
-                return false;
-            --jobsPerWorkload[j.wl];
-            return true;
-        });
-    }
-    // Serial post-pass, shared by both exits below: freshly computed
-    // cells enter the store under the keys derived above.
-    const auto storeFinish = [&] {
-        if (!options.store)
-            return;
-        for (std::size_t i = 0; i < out.cells.size(); ++i) {
-            if (cellCached[i])
-                continue;
-            StoreKey key;
-            key.kind = "cell";
-            key.config = out.cells[i].config;
-            key.params = out.cells[i].params;
-            key.workload = out.cells[i].workload;
-            key.seed = out.cells[i].seed;
-            key.warmup = out.warmup;
-            key.measure = resolveMeasureFor(options.measure, plan,
-                                            out.cells[i].config);
-            options.store->put(key,
-                               cellPayloadText(out.cells[i].stats));
-            ++out.storeComputed;
-        }
-        options.store->flush();
-        if (options.telemetry)
-            options.telemetry->storeCounts(out.storeHits, out.storeComputed);
-    };
-
-    if (jobs.empty()) {
-        storeFinish();
-        return out;
-    }
-
-    // Trace-cache sizing: the stream a job consumes is bounded by the
-    // committed target of both run() calls plus the in-flight window.
-    // Per-config `runlen` overrides can lengthen individual jobs, so
-    // recordings are sized for the longest config in the plan.
-    std::uint64_t longestMeasure = out.measure;
-    for (const SimConfig &c : plan.configs) {
-        longestMeasure = std::max(
-            longestMeasure, resolveMeasureFor(options.measure, plan, c.name));
-    }
-    const std::uint64_t traceUopsNeeded =
-        out.warmup + longestMeasure + maxInflightUops(plan);
-
-    TraceCache cache;
-    std::vector<std::atomic<std::size_t>> remaining(plan.workloads.size());
-    for (std::size_t w = 0; w < plan.workloads.size(); ++w)
-        remaining[w].store(jobsPerWorkload[w], std::memory_order_relaxed);
-
-    std::atomic<std::size_t> done{0};
-    std::mutex progressMu;
-
-    runOnWorkerPool(jobs.size(), options.jobs, [&](std::size_t j,
-                                                   int worker) {
-        const Job &job = jobs[j];
-        SimConfig cfg = plan.configs[job.cfg];
-        RunResult &cell = out.cells[job.slot];
-        cfg.seed = cell.seed;
-
-        if (options.telemetry)
-            options.telemetry->jobStart("cell", cell.config, cell.workload,
-                                        worker);
-        const auto t0 = std::chrono::steady_clock::now();
-
-        Workload w = workloads::build(cell.workload);
-        if (options.useTraceCache)
-            w.frozen = cache.get(w, traceUopsNeeded);
-
-        {
-            const std::uint64_t measure =
-                resolveMeasureFor(options.measure, plan, cfg.name);
-            const std::uint64_t maxCycles =
-                (out.warmup + measure) * 60 + 1000000;
-            Core core(cfg, w);
-            if (options.tracer)
-                core.setPipeTracer(options.tracer);
-            core.run(out.warmup, maxCycles);
-            core.resetStats();
-            core.run(measure, maxCycles);
-            cell.stats = core.record();
-        }
-        w.frozen.reset();
-        if (remaining[job.wl].fetch_sub(1) == 1)
-            cache.drop(cell.workload);
-
-        if (options.telemetry) {
-            const double wall_ms = std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - t0).count();
-            options.telemetry->jobFinish("cell", cell.config, cell.workload,
-                                         worker, wall_ms, true);
-        }
-        const std::size_t finished = done.fetch_add(1) + 1;
-        if (options.progress) {
-            std::lock_guard<std::mutex> lock(progressMu);
-            options.progress(finished, jobs.size(), cell);
-        }
-    });
-    if (options.telemetry && options.useTraceCache)
-        options.telemetry->traceCacheCounts(cache.hitCount(),
-                                            cache.missCount(),
-                                            cache.fileHitCount(),
-                                            cache.fileMissCount(),
-                                            cache.evictCount());
-    storeFinish();
-    return out;
-}
-
-void
 printPlanTables(const ExperimentPlan &plan, const PlanResult &result)
 {
     for (const TableSpec &table : plan.tables) {
         // A row is printable when every column cell (and the normalizer
         // cell) survived the filter.
-        std::vector<const std::string *> rows;
+        std::vector<std::string> rows;
         for (const std::string &w : plan.workloads) {
             bool whole = true;
             for (const std::string &c : table.columns)
@@ -311,51 +28,15 @@ printPlanTables(const ExperimentPlan &plan, const PlanResult &result)
             if (!table.normalizeTo.empty())
                 whole = whole && result.find(table.normalizeTo, w) != nullptr;
             if (whole)
-                rows.push_back(&w);
+                rows.push_back(w);
         }
         if (rows.empty()) {
             std::printf("\n== %s == (no cells matched filter \"%s\")\n",
                         table.title.c_str(), result.filter.c_str());
             continue;
         }
-
-        std::printf("\n== %s ==\n", table.title.c_str());
-        std::printf("%-14s", "benchmark");
-        for (const auto &c : table.columns)
-            std::printf(" %22s", c.c_str());
-        std::printf("\n");
-
-        std::vector<std::vector<double>> columns(table.columns.size());
-        for (const std::string *w : rows) {
-            std::printf("%-14s", w->c_str());
-            double base = 1.0;
-            if (!table.normalizeTo.empty())
-                base = result.find(table.normalizeTo, *w)
-                           ->stats.get(table.stat);
-            for (std::size_t c = 0; c < table.columns.size(); ++c) {
-                const double v =
-                    result.find(table.columns[c], *w)->stats.get(table.stat);
-                const double shown =
-                    table.normalizeTo.empty() ? v : v / base;
-                columns[c].push_back(shown);
-                std::printf(" %22.3f", shown);
-            }
-            std::printf("\n");
-        }
-        std::printf("%-14s", table.normalizeTo.empty() ? "mean" : "geomean");
-        for (std::size_t c = 0; c < table.columns.size(); ++c) {
-            double m;
-            if (table.normalizeTo.empty()) {
-                double sum = 0.0;
-                for (double v : columns[c])
-                    sum += v;
-                m = columns[c].empty() ? 0.0 : sum / columns[c].size();
-            } else {
-                m = geomean(columns[c]);
-            }
-            std::printf(" %22.3f", m);
-        }
-        std::printf("\n");
+        printTable(table.title, result.cells, table.columns, rows,
+                   table.stat, table.normalizeTo);
     }
     std::fflush(stdout);
 }

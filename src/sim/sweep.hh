@@ -1,7 +1,22 @@
 /**
  * @file
- * The parallel sweep engine: expand an ExperimentPlan into independent
- * (config x workload) jobs and execute them on a worker pool.
+ * The run engine: expand an ExperimentPlan's matched cells into typed
+ * jobs and execute them on a worker pool.
+ *
+ * Every entry point is one job graph (sim/engine.cc). matchCells
+ * enumerates the cells once (duplicate-name check, filter, shard
+ * ownership, jobSeed); the engine resolves each cell's config map,
+ * measured length and store key, runs the store pre-pass, expands the
+ * remaining cells into jobs, and afterwards reduces them and puts the
+ * fresh results into the store. There are three job kinds:
+ *  - `cell`: a full detailed run (warmup, then measure). runPlan is
+ *    one cell job per cell with an identity reduction.
+ *  - `warm`: one functional warming pass over a cell's prefix that
+ *    yields a checkpoint per sampling interval.
+ *  - `interval`: restore (or re-warm), detailed warmup, measure.
+ *    runSampledPlan is warm + interval jobs with the mean/CI
+ *    reduction; saveCheckpoints (sim/sample/sample.hh) is the same
+ *    graph stopped after warm.
  *
  * Guarantees (pinned by tests/test_experiment.cc):
  *  - Bit-identical results regardless of worker count: per-job seeds
@@ -12,9 +27,9 @@
  *    cache miss and a disabled cache all replay the same functional
  *    stream (live-VM and frozen-replay backings are bit-identical).
  *
- * Scheduling is workload-major so that the configurations sharing a
- * workload's frozen trace run back-to-back and the trace can be
- * dropped as soon as its last job finishes (bounded memory).
+ * Scheduling is workload-major so that the jobs sharing a workload's
+ * frozen trace run back-to-back and the trace can be dropped as soon
+ * as its last job finishes (bounded memory).
  */
 
 #ifndef EOLE_SIM_SWEEP_HH
@@ -34,7 +49,7 @@ class PipeTracer;
 class Store;
 class TelemetrySink;
 
-/** Knobs for one runPlan invocation (CLI flags map 1:1 onto these). */
+/** Knobs for one engine invocation (CLI flags map 1:1 onto these). */
 struct SweepOptions
 {
     int jobs = 0;              //!< worker threads; 0 = runnerThreads()
@@ -54,8 +69,8 @@ struct SweepOptions
      * sim/store.hh): cells whose key already resolves load their
      * reduced stats instead of running (byte-identical artifacts —
      * the payload round-trips exactly), and freshly computed cells
-     * are inserted afterwards. The engines touch the store only from
-     * their serial pre/post phases, never from worker threads.
+     * are inserted afterwards. The engine touches the store only from
+     * its serial pre/post passes, never from worker threads.
      */
     Store *store = nullptr;
 
@@ -111,27 +126,37 @@ struct PlanResult
 PlanResult runPlan(const ExperimentPlan &plan,
                    const SweepOptions &options = {});
 
-/** Fatal when two of @p plan's configs share a name (cells would be
- *  indistinguishable in artifacts). Both the full-run and sampling
- *  engines validate through this. */
-void validatePlanConfigs(const ExperimentPlan &plan);
+/** One cell of a plan that a run executes. */
+struct MatchedCell
+{
+    std::size_t config = 0;    //!< index into plan.configs
+    std::size_t workload = 0;  //!< index into plan.workloads
+    /** Index among the filter-matched cells, config-major, shard
+     *  ignored: the cell's position in a single-host artifact (the
+     *  global slot shard partials merge by). */
+    std::uint64_t slot = 0;
+    std::uint64_t seed = 0;    //!< jobSeed of the cell
+};
+
+struct MatchedCells
+{
+    std::vector<MatchedCell> cells;  //!< config-major
+    std::uint64_t filterMatched = 0; //!< cells the filter alone keeps
+};
 
 /**
- * The engine's worker pool: run @p body(job_index) once for every
- * index in [0, num_jobs), dispatched dynamically over
- * min(jobs_option ? jobs_option : runnerThreads(), num_jobs) threads
- * (inline when that is one). Bodies must write only to pre-assigned
- * slots — the determinism contract both engines build on.
+ * The one enumeration of the cells a run executes: config-major over
+ * @p plan, keeping the cells whose "config/workload" matches
+ * @p filter (cellMatches) and that @p shard owns (ShardSlice::owns).
+ * Fatal when two configs share a name (their cells would be
+ * indistinguishable in artifacts).
  */
-void runOnWorkerPool(std::size_t num_jobs, int jobs_option,
-                     const std::function<void(std::size_t)> &body);
+MatchedCells matchCells(const ExperimentPlan &plan,
+                        const std::string &filter,
+                        const ShardSlice &shard);
 
-/** As above, with the executing worker's index [0, nthreads) passed to
- *  @p body — telemetry attributes jobs to workers through it. Worker
- *  identity must never influence results (the determinism contract). */
-void runOnWorkerPool(std::size_t num_jobs, int jobs_option,
-                     const std::function<void(std::size_t job,
-                                              int worker)> &body);
+/** File-system-safe spelling of a cell identity component. */
+std::string sanitizeForPath(const std::string &s);
 
 /** Print the plan's paper-style tables from a sweep's results. Tables
  *  whose cells were filtered away are skipped with a note. */

@@ -18,10 +18,12 @@
  *                                     warm-state checkpoint files
  *
  * Each figure of the paper is a named plan (sim/plans.hh); `eole run`
- * subsumes the per-figure bench binaries, adding parallel execution
- * (--jobs), cell filtering (--filter), structured artifacts (--out /
- * --csv), reproducible seeding (--seed) and checkpointed statistical
- * sampling (--sample N:W:D, sim/sample/). Artifacts are byte-stable:
+ * reproduces it with parallel execution (--jobs), cell filtering
+ * (--filter), structured artifacts (--out / --csv), reproducible
+ * seeding (--seed) and checkpointed statistical sampling (--sample
+ * N:W:D, sim/sample/). `run`, `shard` and `ckpt save` share their
+ * flags through RunRequest and are each one call into the run engine
+ * (sim/sweep.hh). Artifacts are byte-stable:
  * the same plan at the same run lengths, seed and sample spec produces
  * the same JSON regardless of --jobs, so `eole diff` against a prior
  * artifact is an exact regression check; `eole diff --ci` compares
@@ -37,11 +39,10 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
-
-#include <atomic>
 
 #include "common/build_info.hh"
 #include "common/env.hh"
@@ -51,7 +52,6 @@
 #include "common/pipetrace.hh"
 #include "sim/artifact.hh"
 #include "sim/bench.hh"
-#include "sim/trace_cache.hh"
 #include "sim/configs.hh"
 #include "sim/experiment.hh"
 #include "sim/params.hh"
@@ -495,18 +495,6 @@ cmdDescribe(int argc, char **argv)
     return 0;
 }
 
-/** File-system-safe spelling of a cell identity component. */
-std::string
-sanitizeForPath(const std::string &s)
-{
-    std::string out = s;
-    for (char &c : out) {
-        if (c == '/' || c == '\\' || c == ' ' || c == ':')
-            c = '_';
-    }
-    return out;
-}
-
 /** "a,b,c" -> {"a", "b", "c"}; empty segments rejected upstream by the
  *  registries' own unknown-name diagnostics. */
 std::vector<std::string>
@@ -570,6 +558,220 @@ resolveWorkloadSpec(const std::string &spec, std::string *resolved,
     return false;
 }
 
+/**
+ * The flags `run`, `shard` and `ckpt save` share, parsed once: the
+ * plan (a registered name or --plan), --set, --seed, --warmup,
+ * --insts, --filter, --jobs, --store, --telemetry, --no-cache, --quiet
+ * and --sample. It also owns the exit-2 path: the telemetry stream
+ * opens before any validation, and every bail() ends it with
+ * run_aborted, so a consumer never sees a silently truncated stream.
+ */
+struct RunRequest
+{
+    explicit RunRequest(const char *cmd) : command(cmd) {}
+
+    const char *command;  //!< "run", "shard" or "ckpt save"
+    ExperimentPlan plan;
+    SampleSpec sample;
+    SweepOptions opt;
+    bool quiet = false;
+    std::size_t matched = 0;  //!< cells the run executes (after match)
+
+    std::string namedPlan, planFile, storeDir, telemetryPath;
+    std::vector<std::string> sets;
+    std::optional<std::uint64_t> seed;
+    std::unique_ptr<TelemetrySink> telem;
+    std::unique_ptr<Store> store;
+
+    /** Take argv[0] as the plan name unless it is a flag; returns the
+     *  index of the first option. The name resolves in open(), after
+     *  the telemetry sink opens, so an unknown one still terminates
+     *  the stream with run_aborted. */
+    int
+    takePlanName(int argc, char **argv)
+    {
+        if (argc < 1 || argv[0][0] == '-')
+            return 0;
+        namedPlan = argv[0];
+        return 1;
+    }
+
+    /** Consume argv[i] (and its value) when it is a shared flag. */
+    bool
+    takeFlag(int argc, char **argv, int &i)
+    {
+        std::string value;
+        if (takeValue(argc, argv, i, "--plan", value)) {
+            planFile = value;
+        } else if (takeValue(argc, argv, i, "--set", value)) {
+            sets.push_back(value);
+        } else if (takeValue(argc, argv, i, "--seed", value)) {
+            seed = parseU64(value, "--seed");
+        } else if (takeValue(argc, argv, i, "--warmup", value)) {
+            opt.warmup = parseU64(value, "--warmup");
+        } else if (takeValue(argc, argv, i, "--insts", value)) {
+            opt.measure = parseU64(value, "--insts");
+        } else if (takeValue(argc, argv, i, "--filter", value)) {
+            opt.filter = value;
+        } else if (takeValue(argc, argv, i, "--jobs", value)) {
+            opt.jobs = static_cast<int>(parseU64(value, "--jobs"));
+        } else if (takeValue(argc, argv, i, "--store", value)) {
+            storeDir = value;
+        } else if (takeValue(argc, argv, i, "--telemetry", value)) {
+            telemetryPath = value;
+        } else if (takeValue(argc, argv, i, "--sample", value)) {
+            sample = parseSampleSpec(value);
+        } else if (std::strcmp(argv[i], "--no-cache") == 0) {
+            opt.useTraceCache = false;
+        } else if (std::strcmp(argv[i], "--quiet") == 0) {
+            quiet = true;
+        } else {
+            return false;
+        }
+        return true;
+    }
+
+    /** Print @p reason (and @p detail), end the telemetry stream with
+     *  run_aborted, and return exit code 2. */
+    int
+    bail(const std::string &reason, const std::string &detail = "")
+    {
+        std::fprintf(stderr, "eole: %s%s\n", reason.c_str(), detail.c_str());
+        if (telem)
+            telem->runAborted(reason);
+        return 2;
+    }
+
+    /** Open the telemetry stream, resolve the plan, apply --seed and
+     *  --set. Returns 0, or the exit code. */
+    int
+    open()
+    {
+        if (quiet)
+            setLogLevel(LogLevel::Quiet);
+        if (!telemetryPath.empty())
+            telem = std::make_unique<TelemetrySink>(telemetryPath);
+
+        if (!namedPlan.empty()) {
+            if (!plans::exists(namedPlan)) {
+                return bail(csprintf(
+                    "unknown plan \"%s\"%s (try `eole list`)",
+                    namedPlan.c_str(),
+                    didYouMean(closestMatches(
+                        namedPlan, plans::allNames())).c_str()));
+            }
+            if (!planFile.empty()) {
+                return bail("give either a registered plan name or "
+                            "--plan, not both");
+            }
+            plan = plans::get(namedPlan);
+        } else if (!planFile.empty()) {
+            std::string err;
+            if (!loadPlanFile(planFile, &plan, &err))
+                return bail(err);
+        } else {
+            bail(csprintf("%s needs a plan name or --plan <file>",
+                          command));
+            return usage(stderr, 2);
+        }
+        if (seed)
+            plan.seed = *seed;
+
+        // Ad-hoc overrides: apply each --set key=value to every config
+        // of the plan through the registry. A typo'd key or bad value
+        // is an operator mistake: exit 2 with the nearest valid keys.
+        const ParamRegistry &reg = ParamRegistry::instance();
+        for (const std::string &kv : sets) {
+            const std::size_t eq = kv.find('=');
+            if (eq == std::string::npos || eq == 0) {
+                return bail(csprintf("--set wants key=value, got \"%s\"",
+                                     kv.c_str()));
+            }
+            for (SimConfig &c : plan.configs) {
+                const std::string err =
+                    reg.trySet(c, kv.substr(0, eq), kv.substr(eq + 1));
+                if (!err.empty())
+                    return bail("--set: " + err);
+            }
+        }
+        return 0;
+    }
+
+    /** Reject a filter that matches no cell (listing the valid names),
+     *  resolve the sampling spec and count the cells the run executes.
+     *  Returns 0, or the exit code. Call once opt.shard and the plan's
+     *  workloads are final. */
+    int
+    match()
+    {
+        const MatchedCells cells = matchCells(plan, opt.filter, opt.shard);
+        if (!opt.filter.empty() && cells.filterMatched == 0) {
+            std::string names = "\n  valid configs:";
+            for (const SimConfig &c : plan.configs)
+                names += " " + c.name;
+            names += "\n  valid workloads:";
+            for (const std::string &w : plan.workloads)
+                names += " " + w;
+            return bail(csprintf("--filter \"%s\" matches no cell of plan "
+                                 "%s", opt.filter.c_str(), plan.name.c_str()),
+                        names);
+        }
+        // Effective sampling spec: the CLI flag wins over the plan
+        // file's own `sample =` directive (resolveRunLength-style
+        // precedence).
+        sample = resolveSampleSpec(sample, plan.sample);
+        matched = cells.cells.size();
+        return 0;
+    }
+
+    /** Emit run_start, then attach the telemetry sink and the store
+     *  to opt. Call once opt.shard is final. */
+    void
+    start()
+    {
+        if (telem) {
+            const bool sharded = opt.shard.enabled();
+            std::string name = command;
+            std::replace(name.begin(), name.end(), ' ', '-');
+            telem->runStart(
+                name, plan.name, plan.seed,
+                resolveRunLength(opt.warmup, plan.warmup, "EOLE_WARMUP",
+                                 defaultWarmupUops),
+                resolveRunLength(opt.measure, plan.measure, "EOLE_INSTS",
+                                 defaultMeasureUops),
+                opt.filter,
+                sample.enabled() ? sampleSpecString(sample) : "",
+                opt.jobs > 0 ? opt.jobs : runnerThreads(), matched,
+                sharded ? static_cast<int>(opt.shard.host) : -1,
+                sharded ? static_cast<int>(opt.shard.hosts) : -1);
+            opt.telemetry = telem.get();
+        }
+        if (!storeDir.empty()) {
+            store = std::make_unique<Store>(storeDir);
+            opt.store = store.get();
+        }
+    }
+
+    /** The one store summary line (notice level: always on stderr,
+     *  even --quiet): "0 computed" on a warm re-run is the contract the
+     *  CI shard lane and tests/test_shard.cc pin. */
+    void
+    storeSummary(std::size_t hits, std::size_t computed) const
+    {
+        if (store) {
+            notice("store %s: %zu cached, %zu computed", storeDir.c_str(),
+                   hits, computed);
+        }
+    }
+
+    void
+    finish(std::size_t cells) const
+    {
+        if (telem)
+            telem->runFinish(cells);
+    }
+};
+
 /** `eole run` and `eole shard` share one parser and execution path;
  *  @p shard_mode adds --hosts/--host, forces tables off and writes an
  *  "eole-shard-v1" partial instead of a JSON artifact. */
@@ -579,58 +781,21 @@ cmdRun(int argc, char **argv, bool shard_mode)
     if (argc < 1)
         return usage(stderr, 2);
 
-    ExperimentPlan plan;
-    bool have_plan = false;
-    int first_opt = 0;
-    std::string named_plan;
-    if (argv[0][0] != '-') {
-        // Resolved after the telemetry sink opens, so an unknown name
-        // still terminates the stream with run_aborted.
-        named_plan = argv[0];
-        first_opt = 1;
-    }
-
-    SweepOptions opt;
-    SampleSpec sample;
-    std::string out_path, csv_path, store_dir, value;
-    std::string plan_file, telemetry_path, pipetrace_path;
+    RunRequest req(shard_mode ? "shard" : "run");
+    std::string out_path, csv_path, value, pipetrace_path;
     std::string pipetrace_format = "kanata", pipetrace_range;
     std::string workloads_override;
-    std::vector<std::string> sets;
-    std::uint64_t seed = 0;
     std::uint64_t shard_hosts = 0, shard_host = 0;
-    bool have_seed = false, have_host = false;
-    bool tables = true, quiet = false, progress_flag = false;
-    for (int i = first_opt; i < argc; ++i) {
-        if (takeValue(argc, argv, i, "--plan", value)) {
-            // Loaded after the telemetry sink opens, so a bad plan
-            // file still terminates the stream with run_aborted.
-            plan_file = value;
-        } else if (takeValue(argc, argv, i, "--set", value)) {
-            sets.push_back(value);
-        } else if (takeValue(argc, argv, i, "--jobs", value)) {
-            opt.jobs = static_cast<int>(parseU64(value, "--jobs"));
-        } else if (takeValue(argc, argv, i, "--filter", value)) {
-            opt.filter = value;
-        } else if (takeValue(argc, argv, i, "--workloads", value)) {
+    bool have_host = false, tables = true, progress_flag = false;
+    for (int i = req.takePlanName(argc, argv); i < argc; ++i) {
+        if (req.takeFlag(argc, argv, i))
+            continue;
+        if (takeValue(argc, argv, i, "--workloads", value)) {
             workloads_override = value;
         } else if (takeValue(argc, argv, i, "--out", value)) {
             out_path = value;
         } else if (takeValue(argc, argv, i, "--csv", value)) {
             csv_path = value;
-        } else if (takeValue(argc, argv, i, "--warmup", value)) {
-            opt.warmup = parseU64(value, "--warmup");
-        } else if (takeValue(argc, argv, i, "--insts", value)) {
-            opt.measure = parseU64(value, "--insts");
-        } else if (takeValue(argc, argv, i, "--seed", value)) {
-            seed = parseU64(value, "--seed");
-            have_seed = true;
-        } else if (takeValue(argc, argv, i, "--sample", value)) {
-            sample = parseSampleSpec(value);
-        } else if (takeValue(argc, argv, i, "--store", value)) {
-            store_dir = value;
-        } else if (takeValue(argc, argv, i, "--telemetry", value)) {
-            telemetry_path = value;
         } else if (!shard_mode
                    && takeValue(argc, argv, i, "--pipetrace", value)) {
             pipetrace_path = value;
@@ -651,172 +816,63 @@ cmdRun(int argc, char **argv, bool shard_mode)
                    && takeValue(argc, argv, i, "--host", value)) {
             shard_host = parseU64(value, "--host");
             have_host = true;
-        } else if (std::strcmp(argv[i], "--no-cache") == 0) {
-            opt.useTraceCache = false;
         } else if (!shard_mode
                    && std::strcmp(argv[i], "--no-tables") == 0) {
             tables = false;
-        } else if (std::strcmp(argv[i], "--quiet") == 0) {
-            quiet = true;
         } else {
             std::fprintf(stderr, "eole: unknown option %s\n", argv[i]);
             return usage(stderr, 2);
         }
     }
-    if (quiet)
-        setLogLevel(LogLevel::Quiet);
-
-    // The telemetry stream opens before any validation below, and
-    // every exit-2 path from here on terminates it with run_aborted —
-    // a consumer never sees a silently truncated stream.
-    std::unique_ptr<TelemetrySink> telem;
-    if (!telemetry_path.empty())
-        telem = std::make_unique<TelemetrySink>(telemetry_path);
-    const auto bail = [&](const std::string &reason) {
-        std::fprintf(stderr, "eole: %s\n", reason.c_str());
-        if (telem)
-            telem->runAborted(reason);
-        return 2;
-    };
-    if (!named_plan.empty()) {
-        if (!plans::exists(named_plan)) {
-            return bail(csprintf(
-                "unknown plan \"%s\"%s (try `eole list`)",
-                named_plan.c_str(),
-                didYouMean(closestMatches(
-                    named_plan, plans::allNames())).c_str()));
-        }
-        plan = plans::get(named_plan);
-        have_plan = true;
-    }
-    if (!plan_file.empty()) {
-        if (have_plan) {
-            return bail("give either a registered plan name or --plan, "
-                        "not both");
-        }
-        std::string err;
-        if (!loadPlanFile(plan_file, &plan, &err))
-            return bail(err);
-        have_plan = true;
-    }
-    if (!have_plan) {
-        std::fprintf(stderr, "eole: %s needs a plan name or --plan "
-                     "<file>\n", shard_mode ? "shard" : "run");
-        if (telem)
-            telem->runAborted("no plan given");
-        return usage(stderr, 2);
-    }
+    if (int rc = req.open())
+        return rc;
+    ExperimentPlan &plan = req.plan;
+    SweepOptions &opt = req.opt;
     if (shard_mode) {
         if (shard_hosts == 0 || !have_host)
-            return bail("shard needs --hosts N and --host I");
+            return req.bail("shard needs --hosts N and --host I");
         if (shard_host >= shard_hosts) {
-            return bail(csprintf(
+            return req.bail(csprintf(
                 "--host %llu out of range for --hosts %llu (hosts are "
                 "numbered from 0)",
                 (unsigned long long)shard_host,
                 (unsigned long long)shard_hosts));
         }
         if (!csv_path.empty()) {
-            return bail("--csv does not apply to shard partials; run "
-                        "it on the merged artifact");
+            return req.bail("--csv does not apply to shard partials; run "
+                            "it on the merged artifact");
         }
         opt.shard.hosts = shard_hosts;
         opt.shard.host = shard_host;
-        tables = false;
     }
-    if (have_seed)
-        plan.seed = seed;
 
     // Workload override: replace the plan's workload axis. Plain
     // registry/torture names pass through; file:<path> specs bind
     // their trace file and resolve to the embedded canonical name, so
     // cell identity (and thus artifacts) cannot depend on the path.
     if (!workloads_override.empty()) {
-        std::vector<std::string> resolved_names;
-        for (const std::string &spec : splitCommaList(workloads_override)) {
-            std::string resolved, werr;
-            if (!resolveWorkloadSpec(spec, &resolved, &werr))
-                return bail(werr);
-            resolved_names.push_back(std::move(resolved));
-        }
-        if (resolved_names.empty())
-            return bail("--workloads needs at least one name");
-        plan.workloads = std::move(resolved_names);
-    }
-
-    // Ad-hoc overrides: apply each --set key=value to every config of
-    // the plan through the registry. A typo'd key or bad value is an
-    // operator mistake: exit 2 with the nearest valid keys.
-    const ParamRegistry &reg = ParamRegistry::instance();
-    for (const std::string &kv : sets) {
-        const std::size_t eq = kv.find('=');
-        if (eq == std::string::npos || eq == 0) {
-            return bail(csprintf("--set wants key=value, got \"%s\"",
-                                 kv.c_str()));
-        }
-        const std::string key = kv.substr(0, eq);
-        const std::string val = kv.substr(eq + 1);
-        for (SimConfig &c : plan.configs) {
-            const std::string err = reg.trySet(c, key, val);
-            if (!err.empty())
-                return bail("--set: " + err);
+        plan.workloads = splitCommaList(workloads_override);
+        if (plan.workloads.empty())
+            return req.bail("--workloads needs at least one name");
+        for (std::string &spec : plan.workloads) {
+            std::string werr;
+            if (!resolveWorkloadSpec(spec, &spec, &werr))
+                return req.bail(werr);
         }
     }
-    const std::string plan_name = plan.name;
-
-    // A filter that matches nothing is an operator mistake (typo'd
-    // config or workload); fail loudly with the valid names.
-    if (!opt.filter.empty()) {
-        bool any = false;
-        for (const SimConfig &c : plan.configs) {
-            for (const std::string &w : plan.workloads)
-                any = any || cellMatches(opt.filter, c.name, w);
-        }
-        if (!any) {
-            std::fprintf(stderr,
-                         "eole: --filter \"%s\" matches no cell of plan "
-                         "%s\n  valid configs:",
-                         opt.filter.c_str(), plan_name.c_str());
-            for (const SimConfig &c : plan.configs)
-                std::fprintf(stderr, " %s", c.name.c_str());
-            std::fprintf(stderr, "\n  valid workloads:");
-            for (const std::string &w : plan.workloads)
-                std::fprintf(stderr, " %s", w.c_str());
-            std::fprintf(stderr, "\n");
-            if (telem) {
-                telem->runAborted(csprintf(
-                    "--filter \"%s\" matches no cell of plan %s",
-                    opt.filter.c_str(), plan_name.c_str()));
-            }
-            return 2;
-        }
-    }
-
-    // Effective sampling spec: the CLI flag wins over the plan file's
-    // own `sample =` directive (resolveRunLength-style precedence).
-    sample = resolveSampleSpec(sample, plan.sample);
-
-    // Matched-cell census: the telemetry manifest and the single-cell
-    // --pipetrace restriction both need it before the engines expand
-    // the plan themselves.
-    std::size_t matched_cells = 0;
-    for (const SimConfig &c : plan.configs) {
-        for (const std::string &w : plan.workloads) {
-            if (cellMatches(opt.filter, c.name, w)
-                && opt.shard.owns(plan.seed, c.seed, c.name, w))
-                ++matched_cells;
-        }
-    }
+    if (int rc = req.match())
+        return rc;
+    const SampleSpec &sample = req.sample;
 
     std::ofstream trace_os;
     std::unique_ptr<PipeTracer> tracer;
     if (!pipetrace_path.empty()) {
         if (sample.enabled())
-            return bail("--pipetrace needs an unsampled run");
-        if (matched_cells != 1) {
-            return bail(csprintf(
+            return req.bail("--pipetrace needs an unsampled run");
+        if (req.matched != 1) {
+            return req.bail(csprintf(
                 "--pipetrace needs exactly one cell, but %zu match; "
-                "narrow with --filter", matched_cells));
+                "narrow with --filter", req.matched));
         }
         PipeTracer::Format fmt;
         if (pipetrace_format == "kanata") {
@@ -824,22 +880,18 @@ cmdRun(int argc, char **argv, bool shard_mode)
         } else if (pipetrace_format == "canonical") {
             fmt = PipeTracer::Format::Canonical;
         } else {
-            return bail(csprintf(
+            return req.bail(csprintf(
                 "bad --pipetrace-format \"%s\" (kanata or canonical)",
                 pipetrace_format.c_str()));
         }
         SeqNum lo = 0, hi = ~SeqNum{0};
         if (!pipetrace_range.empty()) {
             const std::size_t colon = pipetrace_range.find(':');
-            bool ok = colon != std::string::npos;
-            if (ok) {
-                ok = parseU64Strict(pipetrace_range.substr(0, colon),
-                                    &lo)
-                    && parseU64Strict(pipetrace_range.substr(colon + 1),
-                                      &hi);
-            }
+            const bool ok = colon != std::string::npos
+                && parseU64Strict(pipetrace_range.substr(0, colon), &lo)
+                && parseU64Strict(pipetrace_range.substr(colon + 1), &hi);
             if (!ok || lo >= hi) {
-                return bail(csprintf(
+                return req.bail(csprintf(
                     "bad --pipetrace-range \"%s\" (want A:B with "
                     "A < B, µ-op sequence numbers)",
                     pipetrace_range.c_str()));
@@ -847,27 +899,14 @@ cmdRun(int argc, char **argv, bool shard_mode)
         }
         trace_os.open(pipetrace_path);
         if (!trace_os) {
-            return bail(csprintf("cannot write %s",
-                                 pipetrace_path.c_str()));
+            return req.bail(csprintf("cannot write %s",
+                                     pipetrace_path.c_str()));
         }
         tracer = std::make_unique<PipeTracer>(trace_os, fmt, lo, hi);
         opt.tracer = tracer.get();
     }
 
-    if (telem) {
-        telem->runStart(
-            shard_mode ? "shard" : "run", plan_name, plan.seed,
-            resolveRunLength(opt.warmup, plan.warmup, "EOLE_WARMUP",
-                             defaultWarmupUops),
-            resolveRunLength(opt.measure, plan.measure, "EOLE_INSTS",
-                             defaultMeasureUops),
-            opt.filter,
-            sample.enabled() ? sampleSpecString(sample) : "",
-            opt.jobs > 0 ? opt.jobs : runnerThreads(), matched_cells,
-            shard_mode ? static_cast<int>(shard_host) : -1,
-            shard_mode ? static_cast<int>(shard_hosts) : -1);
-        opt.telemetry = telem.get();
-    }
+    req.start();
 
     const auto run_t0 = std::chrono::steady_clock::now();
     if (progress_flag) {
@@ -891,44 +930,20 @@ cmdRun(int argc, char **argv, bool shard_mode)
                    cell.ipc());
         };
     }
-    {
-        const char *verb = shard_mode ? "shard" : "run";
-        if (sample.enabled()) {
-            inform("eole %s %s: %zu cells x %llu intervals (sample "
-                   "%s), %d jobs",
-                   verb, plan_name.c_str(), plan.gridSize(),
+    const std::string per_cell = !sample.enabled() ? ""
+        : csprintf(" x %llu intervals (sample %s)",
                    (unsigned long long)sample.intervals,
-                   sampleSpecString(sample).c_str(),
-                   opt.jobs > 0 ? opt.jobs : runnerThreads());
-        } else {
-            inform("eole %s %s: %zu cells, %d jobs", verb,
-                   plan_name.c_str(), plan.gridSize(),
-                   opt.jobs > 0 ? opt.jobs : runnerThreads());
-        }
-    }
-
-    std::unique_ptr<Store> store;
-    if (!store_dir.empty()) {
-        store = std::make_unique<Store>(store_dir);
-        opt.store = store.get();
-    }
-    // The one store summary line (notice level: always on stderr, even
-    // --quiet): "0 computed" on a warm re-run is the observable
-    // contract the CI shard lane and tests/test_shard.cc pin.
-    const auto storeSummary = [&](std::size_t hits,
-                                  std::size_t computed) {
-        if (store) {
-            notice("store %s: %zu cached, %zu computed",
-                   store_dir.c_str(), hits, computed);
-        }
-    };
+                   sampleSpecString(sample).c_str());
+    inform("eole %s %s: %zu cells%s, %d jobs", req.command,
+           plan.name.c_str(), plan.gridSize(), per_cell.c_str(),
+           opt.jobs > 0 ? opt.jobs : runnerThreads());
 
     if (shard_mode) {
         const ShardArtifact shard = runShard(plan, sample, opt);
-        storeSummary(shard.storeHits, shard.storeComputed);
+        req.storeSummary(shard.storeHits, shard.storeComputed);
 
         std::string path = out_path;
-        const std::string default_name = sanitizeForPath(plan_name)
+        const std::string default_name = sanitizeForPath(plan.name)
             + ".shard" + std::to_string(shard_host) + "of"
             + std::to_string(shard_hosts) + ".eoleshard";
         if (path.empty())
@@ -944,15 +959,14 @@ cmdRun(int argc, char **argv, bool shard_mode)
                path.c_str(), (unsigned long long)shard_host,
                (unsigned long long)shard_hosts, shard.cells.size(),
                (unsigned long long)shard.cellsTotal);
-        if (telem)
-            telem->runFinish(shard.cells.size());
+        req.finish(shard.cells.size());
         return 0;
     }
 
     const PlanResult result = sample.enabled()
         ? runSampledPlan(plan, sample, opt)
         : runPlan(plan, opt);
-    storeSummary(result.storeHits, result.storeComputed);
+    req.storeSummary(result.storeHits, result.storeComputed);
 
     if (tracer) {
         tracer->finish();
@@ -979,8 +993,7 @@ cmdRun(int argc, char **argv, bool shard_mode)
         writeCsvArtifact(os, result);
         inform("wrote %s", csv_path.c_str());
     }
-    if (telem)
-        telem->runFinish(result.cells.size());
+    req.finish(result.cells.size());
     return 0;
 }
 
@@ -1134,419 +1147,54 @@ cmdStore(int argc, char **argv)
 int
 cmdCkptSave(int argc, char **argv)
 {
-    ExperimentPlan plan;
-    bool have_plan = false;
-    int first_opt = 0;
-    std::string named_plan;
-    if (argc >= 1 && argv[0][0] != '-') {
-        // Resolved after the telemetry sink opens, so an unknown name
-        // still terminates the stream with run_aborted.
-        named_plan = argv[0];
-        first_opt = 1;
-    }
-
-    SweepOptions opt;
-    SampleSpec sample;
-    std::string out_dir, store_dir, telemetry_path, plan_file, value;
-    std::vector<std::string> sets;
-    std::uint64_t seed = 0;
-    bool have_seed = false, quiet = false;
-    for (int i = first_opt; i < argc; ++i) {
-        if (takeValue(argc, argv, i, "--plan", value)) {
-            plan_file = value;
-        } else if (takeValue(argc, argv, i, "--out", value)) {
+    RunRequest req("ckpt save");
+    std::string out_dir, value;
+    for (int i = req.takePlanName(argc, argv); i < argc; ++i) {
+        if (req.takeFlag(argc, argv, i))
+            continue;
+        if (takeValue(argc, argv, i, "--out", value)) {
             out_dir = value;
-        } else if (takeValue(argc, argv, i, "--sample", value)) {
-            sample = parseSampleSpec(value);
-        } else if (takeValue(argc, argv, i, "--filter", value)) {
-            opt.filter = value;
-        } else if (takeValue(argc, argv, i, "--jobs", value)) {
-            opt.jobs = static_cast<int>(parseU64(value, "--jobs"));
-        } else if (takeValue(argc, argv, i, "--seed", value)) {
-            seed = parseU64(value, "--seed");
-            have_seed = true;
-        } else if (takeValue(argc, argv, i, "--warmup", value)) {
-            opt.warmup = parseU64(value, "--warmup");
-        } else if (takeValue(argc, argv, i, "--insts", value)) {
-            opt.measure = parseU64(value, "--insts");
-        } else if (takeValue(argc, argv, i, "--set", value)) {
-            sets.push_back(value);
-        } else if (takeValue(argc, argv, i, "--store", value)) {
-            store_dir = value;
-        } else if (takeValue(argc, argv, i, "--telemetry", value)) {
-            telemetry_path = value;
-        } else if (std::strcmp(argv[i], "--no-cache") == 0) {
-            opt.useTraceCache = false;
-        } else if (std::strcmp(argv[i], "--quiet") == 0) {
-            quiet = true;
         } else {
             std::fprintf(stderr, "eole: unknown option %s\n", argv[i]);
             return usage(stderr, 2);
         }
     }
-    if (quiet)
-        setLogLevel(LogLevel::Quiet);
-    std::unique_ptr<TelemetrySink> telem;
-    if (!telemetry_path.empty())
-        telem = std::make_unique<TelemetrySink>(telemetry_path);
-    const auto bail = [&](const std::string &reason) {
-        std::fprintf(stderr, "eole: %s\n", reason.c_str());
-        if (telem)
-            telem->runAborted(reason);
-        return 2;
-    };
-    if (!named_plan.empty()) {
-        if (!plans::exists(named_plan)) {
-            return bail(csprintf(
-                "unknown plan \"%s\"%s (try `eole list`)",
-                named_plan.c_str(),
-                didYouMean(closestMatches(
-                    named_plan, plans::allNames())).c_str()));
-        }
-        plan = plans::get(named_plan);
-        have_plan = true;
-    }
-    if (!plan_file.empty()) {
-        if (have_plan) {
-            return bail("give either a registered plan name or --plan, "
-                        "not both");
-        }
-        std::string err;
-        if (!loadPlanFile(plan_file, &plan, &err))
-            return bail(err);
-        have_plan = true;
-    }
-    if (!have_plan) {
-        std::fprintf(stderr,
-                     "eole: ckpt save needs a plan name or --plan\n");
-        if (telem)
-            telem->runAborted("no plan given");
-        return usage(stderr, 2);
-    }
-    if (have_seed)
-        plan.seed = seed;
+    if (int rc = req.open())
+        return rc;
     if (out_dir.empty())
-        return bail("ckpt save needs --out <directory>");
-    const ParamRegistry &reg = ParamRegistry::instance();
-    for (const std::string &kv : sets) {
-        const std::size_t eq = kv.find('=');
-        if (eq == std::string::npos || eq == 0) {
-            return bail(csprintf("--set wants key=value, got \"%s\"",
-                                 kv.c_str()));
-        }
-        for (SimConfig &c : plan.configs) {
-            const std::string err = reg.trySet(c, kv.substr(0, eq),
-                                               kv.substr(eq + 1));
-            if (!err.empty())
-                return bail("--set: " + err);
-        }
+        return req.bail("ckpt save needs --out <directory>");
+    if (int rc = req.match())
+        return rc;
+    if (!req.sample.enabled()) {
+        return req.bail("ckpt save needs a sampling spec: --sample "
+                        "N:W:D[:B] or a plan-file `sample =` directive");
     }
-    sample = resolveSampleSpec(sample, plan.sample);
-    if (!sample.enabled()) {
-        return bail("ckpt save needs a sampling spec: --sample "
-                    "N:W:D[:B] or a plan-file `sample =` directive");
-    }
-
     std::error_code ec;
     std::filesystem::create_directories(out_dir, ec);
     if (ec) {
-        return bail(csprintf("cannot create %s: %s", out_dir.c_str(),
-                             ec.message().c_str()));
+        return req.bail(csprintf("cannot create %s: %s", out_dir.c_str(),
+                                 ec.message().c_str()));
     }
 
-    const std::uint64_t warmup = resolveRunLength(
-        opt.warmup, plan.warmup, "EOLE_WARMUP", defaultWarmupUops);
-    const std::uint64_t measure = resolveRunLength(
-        opt.measure, plan.measure, "EOLE_INSTS", defaultMeasureUops);
-
-    // Matched cells, config-major (the artifact order); placement as
-    // in runSampledPlan so the written checkpoints are exactly the
-    // ones a sampled run of this plan/spec/seed restores from.
-    struct CkptCell
-    {
-        const SimConfig *cfg;
-        std::size_t wl;
-        std::string workload;
-        std::uint64_t seed;
-        std::vector<std::uint64_t> starts;
-        std::vector<std::string> files;  //!< pre-assigned slots
-        /** Serialized checkpoint text per interval (pre-assigned
-         *  slots; filled only with --store, consumed by the serial
-         *  put pass after the pool). */
-        std::vector<std::string> serialized;
-    };
-    std::vector<CkptCell> cells;
-    for (const SimConfig &c : plan.configs) {
-        for (std::size_t w = 0; w < plan.workloads.size(); ++w) {
-            if (!cellMatches(opt.filter, c.name, plan.workloads[w]))
-                continue;
-            CkptCell cell;
-            cell.cfg = &c;
-            cell.wl = w;
-            cell.workload = plan.workloads[w];
-            cell.seed = jobSeed(plan.seed, c.seed, c.name,
-                                plan.workloads[w]);
-            // Mirror runSampledPlan's per-config `runlen` handling so
-            // the saved checkpoints land where a sampled run looks.
-            cell.starts = placeIntervals(
-                warmup, resolveMeasureFor(opt.measure, plan, c.name),
-                sample, cell.seed);
-            cell.files.resize(cell.starts.size());
-            cell.serialized.resize(cell.starts.size());
-            cells.push_back(std::move(cell));
-        }
+    req.start();
+    const SavedCheckpoints saved =
+        saveCheckpoints(req.plan, req.sample, req.opt, out_dir);
+    req.storeSummary(saved.run.storeHits, saved.run.storeComputed);
+    if (!req.quiet) {
+        for (const std::string &f : saved.files)
+            std::printf("%s\n", f.c_str());
     }
-    if (cells.empty()) {
-        return bail(csprintf("no cell of plan %s matches",
-                             plan.name.c_str()));
-    }
-    if (telem) {
-        telem->runStart("ckpt-save", plan.name, plan.seed, warmup,
-                        measure, opt.filter, sampleSpecString(sample),
-                        opt.jobs > 0 ? opt.jobs : runnerThreads(),
-                        cells.size(), -1, -1);
-        for (const CkptCell &cell : cells)
-            telem->cellQueued(cell.cfg->name, cell.workload);
-    }
-
-    // Content-addressed checkpoint store: keys carry the UNCLAMPED
-    // checkpoint index (a pure function of the placement; the trace
-    // length is unknown before recording, and the clamped content is
-    // itself a deterministic function of these inputs). A cell whose
-    // checkpoints all resolve skips its warming pass entirely and
-    // writes the files straight from the stored payloads.
-    std::unique_ptr<Store> store;
-    if (!store_dir.empty())
-        store = std::make_unique<Store>(store_dir);
-    const auto ckptKey = [&](const CkptCell &cell, std::uint64_t idx) {
-        StoreKey key;
-        key.kind = "ckpt";
-        key.config = cell.cfg->name;
-        key.params = configKeyValues(*cell.cfg);
-        key.workload = cell.workload;
-        key.seed = cell.seed;
-        key.warmup = warmup;
-        key.measure = resolveMeasureFor(opt.measure, plan,
-                                        cell.cfg->name);
-        key.sample = sample;
-        key.index = idx;
-        return key;
-    };
-    // Unclamped per-interval checkpoint indices (strictly increasing,
-    // so every interval gets its own key even when trace clamping
-    // collapses the tails onto identical state).
-    std::vector<std::vector<std::uint64_t>> storeIdxs(cells.size());
-    std::vector<char> cellFromStore(cells.size(), 0);
-    std::size_t storeHits = 0;
-    if (store) {
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            CkptCell &cell = cells[i];
-            storeIdxs[i] = warmCheckpointIndices(cell.starts, ~0ULL,
-                                                 sample);
-            bool all = !storeIdxs[i].empty();
-            for (const std::uint64_t idx : storeIdxs[i])
-                all = all && store->contains(
-                    storeKeyHash(ckptKey(cell, idx)));
-            if (!all)
-                continue;
-            std::uint64_t prevUop = ~0ULL;
-            bool ok = true;
-            for (std::size_t k = 0; ok && k < storeIdxs[i].size();
-                 ++k) {
-                const std::string hash =
-                    storeKeyHash(ckptKey(cell, storeIdxs[i][k]));
-                std::string payload;
-                if (!store->get(hash, &payload)) {
-                    ok = false;  // object vanished: recompute the cell
-                    break;
-                }
-                // The payload IS the checkpoint file; deserialize
-                // only to recover the clamped µ-op index for the
-                // filename and the duplicate-tail skip.
-                Checkpoint ckpt;
-                std::string err;
-                std::istringstream is(payload);
-                fatal_if(!tryDeserializeCheckpoint(is, &ckpt, &err),
-                         "store %s: object %s: %s (delete the store "
-                         "directory to rebuild it)", store_dir.c_str(),
-                         hash.c_str(), err.c_str());
-                if (ckpt.uopIndex == prevUop)
-                    continue;
-                prevUop = ckpt.uopIndex;
-                const std::string file = out_dir + "/"
-                    + sanitizeForPath(cell.cfg->name) + "__"
-                    + sanitizeForPath(cell.workload) + "__u"
-                    + std::to_string(ckpt.uopIndex) + ".ckpt";
-                std::ofstream os(file, std::ios::binary);
-                bool wrote = static_cast<bool>(os);
-                if (wrote) {
-                    os << payload;
-                    os.close();
-                    wrote = !os.fail();
-                }
-                if (!wrote) {
-                    std::fprintf(stderr, "eole: ckpt save: write "
-                                 "failure under %s\n", out_dir.c_str());
-                    return 2;
-                }
-                cell.files[k] = file;
-            }
-            if (ok) {
-                cellFromStore[i] = 1;
-                storeHits += storeIdxs[i].size();
-            }
-        }
-    }
-
-    std::uint64_t maxStart = 0;
-    for (const CkptCell &cell : cells) {
-        for (const std::uint64_t s : cell.starts)
-            maxStart = std::max(maxStart, s);
-    }
-    std::uint64_t longestMeasure = measure;
-    for (const SimConfig &c : plan.configs) {
-        longestMeasure = std::max(longestMeasure,
-                                  resolveMeasureFor(opt.measure, plan, c.name));
-    }
-    const std::uint64_t traceUopsNeeded =
-        sampleTraceUopsNeeded(plan, sample, warmup, longestMeasure, maxStart);
-
-    TraceCache cache;
-    std::vector<std::atomic<std::size_t>> remaining(plan.workloads.size());
-    for (auto &r : remaining)
-        r.store(0, std::memory_order_relaxed);
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (!cellFromStore[i])
-            remaining[cells[i].wl].fetch_add(1,
-                                             std::memory_order_relaxed);
-    }
-
-    std::atomic<bool> write_failed{false};
-    runOnWorkerPool(cells.size(), opt.jobs, [&](std::size_t i,
-                                                int worker) {
-        if (cellFromStore[i])
-            return;  // files already written from the store pre-pass
-        CkptCell &cell = cells[i];
-        SimConfig cfg = *cell.cfg;
-        cfg.seed = cell.seed;
-
-        if (telem)
-            telem->jobStart("warm", cfg.name, cell.workload, worker);
-        const auto job_t0 = std::chrono::steady_clock::now();
-        bool cell_ok = true;
-
-        Workload w = workloads::build(cell.workload);
-        std::shared_ptr<const FrozenTrace> trace;
-        if (opt.useTraceCache)
-            trace = cache.get(w, traceUopsNeeded);
-        if (!trace && !cell.starts.empty()) {
-            trace = w.freeze(std::min(traceUopsNeeded,
-                                      cell.starts.back()));
-        }
-
-        if (trace) {
-            const auto idxs = warmCheckpointIndices(
-                cell.starts, trace->uops.size(), sample);
-            const auto ckpts =
-                warmOnceCheckpoints(cfg, w, trace, idxs);
-            for (std::size_t k = 0; k < ckpts.size(); ++k) {
-                if (store) {
-                    // Keep every interval's serialization (distinct
-                    // unclamped keys even for duplicate tails) for
-                    // the serial put pass after the pool.
-                    std::ostringstream ss;
-                    serializeCheckpoint(ss, *ckpts[k]);
-                    cell.serialized[k] = ss.str();
-                }
-                // Intervals clamped to the end of a short workload
-                // repeat the final index with identical state; one
-                // file covers them all (no silent overwrite, no
-                // inflated count).
-                if (k > 0
-                    && ckpts[k]->uopIndex == ckpts[k - 1]->uopIndex)
-                    continue;
-                const std::string file = out_dir + "/"
-                    + sanitizeForPath(cfg.name) + "__"
-                    + sanitizeForPath(cell.workload) + "__u"
-                    + std::to_string(ckpts[k]->uopIndex) + ".ckpt";
-                std::ofstream os(file, std::ios::binary);
-                bool ok = static_cast<bool>(os);
-                if (ok) {
-                    serializeCheckpoint(os, *ckpts[k]);
-                    // Close before judging success: buffered bytes
-                    // only hit disk here, and ENOSPC at close must
-                    // not report the file as written.
-                    os.close();
-                    ok = !os.fail();
-                }
-                if (!ok) {
-                    write_failed.store(true);
-                    cell_ok = false;
-                } else {
-                    cell.files[k] = file;
-                }
-            }
-        }
-        trace.reset();
-        if (remaining[cell.wl].fetch_sub(1) == 1)
-            cache.drop(cell.workload);
-        if (telem) {
-            const double wall_ms =
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - job_t0).count();
-            telem->jobFinish("warm", cfg.name, cell.workload, worker,
-                             wall_ms, cell_ok);
-        }
-    });
-    if (telem && opt.useTraceCache)
-        telem->traceCacheCounts(cache.hitCount(), cache.missCount(),
-                                cache.fileHitCount(),
-                                cache.fileMissCount(),
-                                cache.evictCount());
-
-    // Serial put pass: freshly warmed cells enter the store under the
-    // keys the pre-pass derived.
-    std::size_t storeComputed = 0;
-    if (store) {
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            if (cellFromStore[i])
-                continue;
-            for (std::size_t k = 0; k < storeIdxs[i].size(); ++k) {
-                if (cells[i].serialized[k].empty())
-                    continue;
-                store->put(ckptKey(cells[i], storeIdxs[i][k]),
-                           cells[i].serialized[k]);
-                ++storeComputed;
-            }
-        }
-        store->flush();
-        notice("store %s: %zu cached, %zu computed", store_dir.c_str(),
-               storeHits, storeComputed);
-        if (telem)
-            telem->storeCounts(storeHits, storeComputed);
-    }
-
-    std::size_t written = 0;
-    for (const CkptCell &cell : cells) {
-        for (const std::string &f : cell.files) {
-            if (f.empty())
-                continue;
-            ++written;
-            if (!quiet)
-                std::printf("%s\n", f.c_str());
-        }
-    }
-    if (write_failed.load()) {
-        return bail(csprintf("ckpt save: write failure under %s",
-                             out_dir.c_str()));
+    if (saved.writeFailed) {
+        return req.bail(csprintf("ckpt save: write failure under %s",
+                                 out_dir.c_str()));
     }
     inform("wrote %zu checkpoint file(s) for %zu cell(s) (plan %s, "
            "sample %s, warmup %llu, measure %llu)",
-           written, cells.size(), plan.name.c_str(),
-           sampleSpecString(sample).c_str(), (unsigned long long)warmup,
-           (unsigned long long)measure);
-    if (telem)
-        telem->runFinish(cells.size());
+           saved.files.size(), saved.run.cells.size(),
+           req.plan.name.c_str(), sampleSpecString(req.sample).c_str(),
+           (unsigned long long)saved.run.warmup,
+           (unsigned long long)saved.run.measure);
+    req.finish(saved.run.cells.size());
     return 0;
 }
 

@@ -32,6 +32,18 @@ tinyPlan()
     return p;
 }
 
+/** An ad-hoc grid plan whose run lengths come from the environment. */
+ExperimentPlan
+gridPlan(const std::vector<SimConfig> &cfgs,
+         const std::vector<std::string> &workloads)
+{
+    ExperimentPlan p;
+    p.name = "grid";
+    p.configs = cfgs;
+    p.workloads = workloads;
+    return p;
+}
+
 } // namespace
 
 TEST(Configs, NamesFollowThePaper)
@@ -100,7 +112,7 @@ TEST(Experiment, GridRunsAllPairsInParallel)
     const std::vector<SimConfig> cfgs = {configs::baseline(6, 64),
                                          configs::baselineVp(6, 64)};
     const std::vector<std::string> names = {"164.gzip", "186.crafty"};
-    const auto results = runGrid(cfgs, names);
+    const auto results = runPlan(gridPlan(cfgs, names)).cells;
     ASSERT_EQ(results.size(), 4u);
 
     for (const auto &cfg : cfgs) {
@@ -451,8 +463,8 @@ TEST(Experiment, DeterministicAcrossRuns)
     setenv("EOLE_INSTS", "10000", 1);
     const std::vector<SimConfig> cfgs = {configs::eole(4, 64)};
     const std::vector<std::string> names = {"458.sjeng"};
-    const auto a = runGrid(cfgs, names);
-    const auto b = runGrid(cfgs, names);
+    const auto a = runPlan(gridPlan(cfgs, names)).cells;
+    const auto b = runPlan(gridPlan(cfgs, names)).cells;
     EXPECT_DOUBLE_EQ(a[0].stats.get("cycles"), b[0].stats.get("cycles"));
     EXPECT_DOUBLE_EQ(a[0].stats.get("early_executed"),
                      b[0].stats.get("early_executed"));

@@ -34,6 +34,8 @@
 #include "sim/bench.hh"
 #include "sim/configs.hh"
 #include "sim/plan.hh"
+#include "sim/sample/sample.hh"
+#include "sim/store.hh"
 #include "sim/sweep.hh"
 #include "sim/telemetry.hh"
 #include "sim/trace_cache.hh"
@@ -389,6 +391,69 @@ TEST(Telemetry, SweepEmitsFullLifecycle)
     EXPECT_EQ(starts, 2u);
     EXPECT_TRUE(sawCache);
     std::filesystem::remove(path);
+}
+
+TEST(Telemetry, StoreServedRunsReportTheTraceCacheAsTheyAlwaysDid)
+{
+    // Against a warm store no job runs. A run then reports no
+    // trace_cache event at all, while `ckpt save` (saveCheckpoints)
+    // still reports one, all zero.
+    const ExperimentPlan p = oneCellPlan("EOLE_4_64", "164.gzip", 500, 4000);
+    const SampleSpec spec = parseSampleSpec("2:1000:500");
+    const std::string dir = "test_obs_store_served_dir.tmp";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir + "/ckpts");
+    const auto cacheEvents = [&](bool save) {
+        const std::string path = scratchFile("store_served");
+        {
+            Store store(dir + "/store");
+            TelemetrySink sink(path);
+            SweepOptions opt;
+            opt.store = &store;
+            opt.telemetry = &sink;
+            if (save)
+                saveCheckpoints(p, spec, opt, dir + "/ckpts");
+            else
+                runPlan(p, opt);
+        }
+        std::vector<TelemetryEvent> events;
+        for (const TelemetryEvent &ev : readTelemetry(path)) {
+            if (ev.ev == "trace_cache")
+                events.push_back(ev);
+        }
+        std::filesystem::remove(path);
+        return events;
+    };
+
+    EXPECT_EQ(cacheEvents(false).size(), 1u);  // cold: the cell ran
+    EXPECT_TRUE(cacheEvents(false).empty());   // warm: no job ran
+    EXPECT_EQ(cacheEvents(true).size(), 1u);   // cold save
+    const std::vector<TelemetryEvent> warm = cacheEvents(true);
+    ASSERT_EQ(warm.size(), 1u);
+    EXPECT_EQ(warm[0].num("hits"), 0);
+    EXPECT_EQ(warm[0].num("misses"), 0);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Telemetry, ProgressHookSeesTheWholeCellOfAFullRun)
+{
+    // Full runs hand the hook the cell's own RunResult, config map
+    // included; warm and interval jobs report a partial one.
+    const ExperimentPlan p = oneCellPlan("EOLE_4_64", "164.gzip", 500, 1500);
+    SweepOptions opt;
+    std::size_t calls = 0;
+    opt.progress = [&](std::size_t done, std::size_t total,
+                       const RunResult &cell) {
+        ++calls;
+        EXPECT_EQ(done, 1u);
+        EXPECT_EQ(total, 1u);
+        EXPECT_FALSE(cell.params.empty());
+        EXPECT_GT(cell.stats.get("committed_uops"), 0.0);
+    };
+    const PlanResult result = runPlan(p, opt);
+    EXPECT_EQ(calls, 1u);
+    ASSERT_EQ(result.cells.size(), 1u);
+    EXPECT_FALSE(result.cells[0].params.empty());
 }
 
 TEST(TraceCache, CountsHitsAndMisses)

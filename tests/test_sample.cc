@@ -18,6 +18,9 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -564,6 +567,89 @@ TEST(Sampling, WarmOnceRestoreMatchesContinuousRewarmExactly)
     wide.jobs = 8;
     EXPECT_EQ(jsonArtifactString(runSampledPlan(plan, spec, wide)),
               jsonArtifactString(a));
+}
+
+TEST(Sampling, SavedCheckpointsAreTheOnesASampledRunRestores)
+{
+    // saveCheckpoints (`eole ckpt save`) is the sampled job graph
+    // stopped after its warm jobs. On smoke (2 configs x 2 workloads),
+    // every file it writes must be byte-identical to serializeCheckpoint
+    // of the checkpoint a sampled run's warm job hands that interval
+    // (rebuilt here from the public placement and warming functions),
+    // and restoring the files must measure exactly what the sampled
+    // run measured.
+    ExperimentPlan plan = plans::get("smoke");
+    plan.warmup = 2000;
+    plan.measure = 20000;
+    const SampleSpec spec = parseSampleSpec("3:2000:1000");
+    const std::string dir = "test_sample_saved_ckpts.tmp";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const auto slurp = [](const std::string &path) {
+        std::ifstream is(path, std::ios::binary);
+        std::ostringstream ss;
+        ss << is.rdbuf();
+        return ss.str();
+    };
+
+    SweepOptions opt;
+    opt.jobs = 2;
+    const SavedCheckpoints saved = saveCheckpoints(plan, spec, opt, dir);
+    const PlanResult sampled = runSampledPlan(plan, spec, opt);
+    ASSERT_FALSE(saved.writeFailed);
+    ASSERT_EQ(saved.run.cells.size(), 4u);
+    ASSERT_EQ(sampled.cells.size(), 4u);
+
+    std::set<std::string> expected;
+    for (const RunResult &rr : sampled.cells) {
+        SimConfig cfg;
+        for (const SimConfig &c : plan.configs) {
+            if (c.name == rr.config)
+                cfg = c;
+        }
+        cfg.seed = rr.seed;
+        const Workload w = workloads::build(rr.workload);
+        const auto starts =
+            placeIntervals(plan.warmup, plan.measure, spec, rr.seed);
+        ASSERT_EQ(starts.size(), 3u);
+        // Recorded past the last interval: no trace-length clamping.
+        const auto trace = w.freeze(starts.back() + spec.intervalUops
+                                    + maxInflightUops(plan));
+        std::vector<std::uint64_t> idxs;
+        for (const std::uint64_t s : starts)
+            idxs.push_back(s - spec.detailUops);
+        const auto ckpts = warmOnceCheckpoints(cfg, w, trace, idxs);
+
+        std::vector<double> ipcs;
+        for (std::size_t k = 0; k < ckpts.size(); ++k) {
+            const std::string file = dir + "/" + sanitizeForPath(rr.config)
+                + "__" + sanitizeForPath(rr.workload) + "__u"
+                + std::to_string(idxs[k]) + ".ckpt";
+            expected.insert(file);
+            const std::string bytes = slurp(file);
+            EXPECT_EQ(bytes, checkpointString(*ckpts[k])) << file;
+
+            auto ckpt =
+                std::make_shared<Checkpoint>(checkpointFromString(bytes));
+            Workload wc = w;
+            wc.frozen = trace;
+            wc.start = ckpt;
+            Core core(cfg, wc);
+            core.restoreWarmState(*ckpt);
+            core.run(spec.detailUops, spec.detailUops * 60 + 1000000);
+            core.resetTiming();
+            const std::uint64_t committed = core.run(
+                spec.intervalUops, spec.intervalUops * 60 + 1000000);
+            ipcs.push_back(
+                ratio(static_cast<double>(committed),
+                      static_cast<double>(core.pipelineState().cycles)));
+        }
+        EXPECT_EQ(meanCi95(ipcs).mean, rr.ipc())
+            << rr.config << "/" << rr.workload;
+    }
+    EXPECT_EQ(std::set<std::string>(saved.files.begin(), saved.files.end()),
+              expected);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Sampling, SampledIpcFallsWithinItsCiOfTheFullRun)
