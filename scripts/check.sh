@@ -71,9 +71,12 @@
 #                  an `eole ckpt save`/`info` round trip;
 #                  (3) the checkpoint/state suites (test_sample,
 #                  test_ckpt_state, test_torture incl. the checkpoint
-#                  fuzzer) under AddressSanitizer (-DEOLE_ASAN=ON,
-#                  build-asan/). The suites also run in the default
-#                  ctest pass with the standard per-suite timeout.
+#                  fuzzer), the slab suite and the core suite (whose
+#                  IdleSkip.* tests drive the idle-cycle skip, clock
+#                  jumps over live wheel handles included) under
+#                  AddressSanitizer (-DEOLE_ASAN=ON, build-asan/).
+#                  The suites also run in the default ctest pass with
+#                  the standard per-suite timeout.
 #
 # Every ctest invocation runs with --timeout (EOLE_TEST_TIMEOUT,
 # default 600 s per suite) so a hung worker thread fails CI instead of
@@ -263,16 +266,18 @@ if [[ "$WITH_SAMPLE" == 1 ]]; then
         exit 1
     fi
 
-    echo "check.sh: AddressSanitizer pass (checkpoint/state/slab suites)"
+    echo "check.sh: AddressSanitizer pass (checkpoint/state/slab/core suites)"
     # test_slab rides in this lane on purpose: the slab poisons free
     # slots under ASan, so a use-after-release of a pooled DynInst (e.g.
-    # a completion-wheel handle dropped early) faults here.
+    # a completion-wheel handle dropped early) faults here. test_core
+    # rides along for the idle-cycle skip's differential tests.
     cmake -B build-asan -S . -DEOLE_ASAN=ON \
           -DEOLE_TEST_TIMEOUT="$TEST_TIMEOUT"
     cmake --build build-asan -j "$JOBS" \
-          --target test_sample test_ckpt_state test_torture test_slab
+          --target test_sample test_ckpt_state test_torture test_slab \
+                   test_core
     run_ctest build-asan \
-        -R '^(test_sample|test_ckpt_state|test_torture|test_slab)$'
+        -R '^(test_sample|test_ckpt_state|test_torture|test_slab|test_core)$'
 fi
 
 if [[ "$WITH_SHARD" == 1 ]]; then

@@ -143,7 +143,7 @@ class DelayedPipe
     bool
     canPush(Cycle now) const
     {
-        if (capacity != 0 && items.size() >= capacity)
+        if (atCapacity())
             return false;
         if (bandwidth == 0)
             return true;
@@ -180,6 +180,22 @@ class DelayedPipe
 
     /** Peek the oldest in-flight item regardless of readiness. */
     const T &front() const { return items.front().second; }
+
+    /** Cycle from which the oldest in-flight item can be popped;
+     *  invalidCycle when the pipe is empty. */
+    Cycle
+    frontReadyCycle() const
+    {
+        return items.empty() ? invalidCycle : items.front().first;
+    }
+
+    /** Is every in-flight slot taken? Only a pop makes room again;
+     *  otherwise canPush() fails only on this cycle's bandwidth. */
+    bool
+    atCapacity() const
+    {
+        return capacity != 0 && items.size() >= capacity;
+    }
 
     bool empty() const { return items.empty(); }
     size_t size() const { return items.size(); }
@@ -304,6 +320,32 @@ class TimingWheel
 
     /** Cycles < the cursor have been drained. */
     Cycle drainCursor() const { return cursor; }
+
+    /**
+     * The earliest cycle holding a scheduled item; invalidCycle when
+     * nothing is scheduled. After a forward time jump this may lie
+     * behind the caller's clock (the next drainUpTo delivers such
+     * items late), so callers clamp to their own `now`. Walks the
+     * wheel slots from the cursor to the first occupied one, stopping
+     * at the earliest overflow cycle (which also wins a same-cycle
+     * split, as it drains first).
+     */
+    Cycle
+    nextEventCycle() const
+    {
+        if (count == 0)
+            return invalidCycle;
+        const Cycle spill =
+            overflow.empty() ? invalidCycle : overflow.begin()->first;
+        // Wheel slots only hold cycles in [cursor, cursor + Horizon).
+        const Cycle end =
+            spill - cursor < Horizon ? spill : cursor + Horizon;
+        for (Cycle c = cursor; c < end; ++c) {
+            if (!slots[c & (Horizon - 1)].empty())
+                return c;
+        }
+        return spill;
+    }
 
     /** Drop every scheduled item without invoking anything. */
     void

@@ -1,6 +1,7 @@
 #include "pipeline/core.hh"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <sstream>
 
@@ -56,18 +57,61 @@ Core::tick()
     state->endCycle();
 }
 
+bool
+Core::skipIdleCycles(Cycle budget)
+{
+    // Fetch side first: its checks are the cheapest to fail, and the
+    // completion stage's wheel walk is left for when all else is idle.
+    Cycle next = invalidCycle;
+    for (auto it = pipe.stages.rbegin(); it != pipe.stages.rend(); ++it) {
+        const Cycle c = (*it)->nextActiveCycle(*state);
+        if (c <= state->now)
+            return false;
+        next = std::min(next, c);
+    }
+    // Every stage waiting on another one is a deadlock (or a drained
+    // trace, which run() handles): keep ticking as before.
+    if (next == invalidCycle)
+        return false;
+    const Cycle n = std::min(next - state->now, budget);
+    for (const auto &stage : pipe.stages)
+        stage->skipIdle(*state, n);
+    state->now += n;
+    state->cycles += n;
+    return true;
+}
+
 std::uint64_t
 Core::run(std::uint64_t target_commits, std::uint64_t max_cycles)
 {
     const std::uint64_t start_commits = state->committedUops;
     const Cycle start_cycle = state->now;
+    const PipelineState &st = *state;
+    // Sizes of every inter-stage structure: a tick that leaves them
+    // all unchanged most likely left the core quiescent, and only then
+    // is the idle-skip probe worth its cost.
+    const auto footprint = [&st] {
+        return std::array<std::size_t, 5>{
+            st.completions.size(), st.rob.size(), st.iq.size(),
+            st.renameOut.size(), st.frontPipe.size()};
+    };
+    bool idle = false;
     while (state->committedUops - start_commits < target_commits
            && state->now - start_cycle < max_cycles) {
         if (state->rob.empty() && state->renameOut.empty()
             && state->frontPipe.empty() && !state->ts.hasNext()) {
             break;  // trace drained
         }
+        if (idle) {
+            idle = false;
+            // Re-test the loop bounds after a jump: it may end exactly
+            // at max_cycles.
+            if (skipIdleCycles(max_cycles - (state->now - start_cycle)))
+                continue;
+        }
+        const auto before = footprint();
         tick();
+        idle = footprint() == before;
     }
     return state->committedUops - start_commits;
 }

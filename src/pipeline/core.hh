@@ -66,6 +66,20 @@ class Core
     /**
      * Run until @p target_commits more µ-ops commit (or the trace
      * drains / @p max_cycles elapse).
+     *
+     * Idle cycles are skipped, not ticked. After a tick that changed
+     * no inter-stage structure, the core asks every stage for its
+     * nextActiveCycle() (stages/stage.hh): the earliest cycle its
+     * tick() could change state if no other stage acted first. When
+     * all of them lie in the future, nothing can happen before their
+     * minimum, so `now` and the cycle count jump there in one step and
+     * each stage's skipIdle() accrues the per-cycle counters the idle
+     * ticks would have counted. The jump is clamped to @p max_cycles
+     * and never taken once @p target_commits is met or the trace has
+     * drained, so results are bit-identical to ticking every cycle. A
+     * stage that keeps Stage's default promise (st.now) turns the skip
+     * off; EOLE_PROF stage sections time ticked cycles only.
+     *
      * @return µ-ops committed during this call
      */
     std::uint64_t run(std::uint64_t target_commits,
@@ -149,6 +163,11 @@ class Core
 
   private:
     void tick();
+
+    /** Jump to the stages' earliest next active cycle, at most
+     *  @p budget cycles ahead; false (and no change) unless every stage
+     *  is idle until a finite cycle after now. */
+    bool skipIdleCycles(Cycle budget);
 
     std::unique_ptr<PipelineState> state;
     StagePipeline pipe;

@@ -1,5 +1,7 @@
 #include "pipeline/stages/commit.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "common/pipetrace.hh"
 #include "common/profiler.hh"
@@ -122,6 +124,21 @@ CommitStage::tick(PipelineState &st)
             break;
         }
     }
+}
+
+Cycle
+CommitStage::nextActiveCycle(PipelineState &st) const
+{
+    // readyToRetire() of the head (dispatched, as all ROB entries
+    // are), solved for the cycle. Once the head may retire, commit
+    // retires it: a fresh cycle's LE/VT read ports always cover one
+    // µ-op (PipelineState rejects 1-port banks).
+    if (st.rob.empty())
+        return invalidCycle;
+    const DynInst &head = *st.rob.front();
+    if (!head.completed && !head.lateExecutable())
+        return invalidCycle;  // waits for a completion event
+    return std::max(st.now, head.completeCycle + retireDelay);
 }
 
 void

@@ -32,6 +32,7 @@ class CommitStage : public Stage
 
     const char *name() const override { return "commit"; }
     void tick(PipelineState &st) override;
+    Cycle nextActiveCycle(PipelineState &st) const override;
     void squash(PipelineState &st, SeqNum keep_seq,
                 Cycle resume_fetch_at) override;
     void resetStats() override;

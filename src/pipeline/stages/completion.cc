@@ -1,5 +1,7 @@
 #include "pipeline/stages/completion.hh"
 
+#include <algorithm>
+
 #include "common/pipetrace.hh"
 #include "pipeline/pipeline_state.hh"
 
@@ -22,6 +24,14 @@ CompletionStage::tick(PipelineState &st)
         if (di->isBranch() && di->bp.mispredict && !di->lateExecBranch)
             st.resolveMispredictedBranch(di);
     });
+}
+
+Cycle
+CompletionStage::nextActiveCycle(PipelineState &st) const
+{
+    // The next scheduled completion; entries left behind a forward
+    // clock jump drain (and complete at st.now) on the next tick.
+    return std::max(st.now, st.completions.nextEventCycle());
 }
 
 } // namespace eole

@@ -20,6 +20,7 @@ class CompletionStage : public Stage
   public:
     const char *name() const override { return "completion"; }
     void tick(PipelineState &st) override;
+    Cycle nextActiveCycle(PipelineState &st) const override;
 };
 
 } // namespace eole

@@ -20,19 +20,9 @@ DispatchStage::tick(PipelineState &st)
         // certain.
         DynInstPtr &head = st.renameOut.front();
 
-        if (st.rob.full()) {
-            ++s.robFullStalls;
-            break;
-        }
-        if (head->isLoad() && st.lq.full())
-            break;
-        if (head->isStore() && st.sq.full())
-            break;
-
-        const bool needs_iq = !head->bypassesOoO()
-            && head->uop().opClass() != OpClass::NoOp;
-        if (needs_iq && static_cast<int>(st.iq.size()) >= iqEntries) {
-            ++s.iqFullStalls;
+        const Hazard hazard = hazardOf(st, *head);
+        if (hazard != Hazard::None) {
+            countStall(hazard, 1);
             break;
         }
 
@@ -78,6 +68,48 @@ DispatchStage::tick(PipelineState &st)
         }
         ++dispatched;
     }
+}
+
+DispatchStage::Hazard
+DispatchStage::hazardOf(const PipelineState &st, const DynInst &head) const
+{
+    if (st.rob.full())
+        return Hazard::RobFull;
+    if ((head.isLoad() && st.lq.full()) || (head.isStore() && st.sq.full()))
+        return Hazard::LsqFull;
+    const bool needs_iq = !head.bypassesOoO()
+        && head.uop().opClass() != OpClass::NoOp;
+    if (needs_iq && static_cast<int>(st.iq.size()) >= iqEntries)
+        return Hazard::IqFull;
+    return Hazard::None;
+}
+
+void
+DispatchStage::countStall(Hazard h, std::uint64_t n)
+{
+    if (h == Hazard::RobFull)
+        s.robFullStalls += n;
+    else if (h == Hazard::IqFull)
+        s.iqFullStalls += n;
+}
+
+Cycle
+DispatchStage::nextActiveCycle(PipelineState &st) const
+{
+    // Past the structural hazards the head dispatches: a fresh cycle's
+    // EE write ports always take one µ-op's write.
+    if (st.renameOut.empty()
+        || hazardOf(st, *st.renameOut.front()) != Hazard::None) {
+        return invalidCycle;
+    }
+    return st.now;
+}
+
+void
+DispatchStage::skipIdle(const PipelineState &st, Cycle n)
+{
+    if (!st.renameOut.empty())
+        countStall(hazardOf(st, *st.renameOut.front()), n);
 }
 
 void

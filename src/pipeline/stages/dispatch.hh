@@ -11,6 +11,7 @@
 #ifndef EOLE_PIPELINE_STAGES_DISPATCH_HH
 #define EOLE_PIPELINE_STAGES_DISPATCH_HH
 
+#include "pipeline/dyn_inst.hh"
 #include "pipeline/stages/stage.hh"
 #include "sim/config.hh"
 
@@ -23,10 +24,22 @@ class DispatchStage : public Stage
 
     const char *name() const override { return "dispatch"; }
     void tick(PipelineState &st) override;
+    Cycle nextActiveCycle(PipelineState &st) const override;
+    void skipIdle(const PipelineState &st, Cycle n) override;
     void resetStats() override;
     void addStats(CoreStats &out) const override;
 
   private:
+    /** Structural hazards that keep the rename-out head out of the
+     *  window until another stage frees an entry. */
+    enum class Hazard { None, RobFull, LsqFull, IqFull };
+
+    /** tick()'s stall checks for @p head, in tick()'s order. */
+    Hazard hazardOf(const PipelineState &st, const DynInst &head) const;
+
+    /** Count @p n cycles lost to @p h. */
+    void countStall(Hazard h, std::uint64_t n);
+
     struct Stats
     {
         std::uint64_t dispatchPortStalls = 0;

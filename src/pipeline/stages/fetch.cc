@@ -92,6 +92,19 @@ FetchStage::tick(PipelineState &st)
     }
 }
 
+Cycle
+FetchStage::nextActiveCycle(PipelineState &st) const
+{
+    if (st.fetchBlockedOnBranch)
+        return invalidCycle;  // until the branch resolves
+    if (st.now < st.fetchStallUntil)
+        return st.fetchStallUntil;
+    // A fresh cycle has its whole push bandwidth, so only a full pipe
+    // stops the first fetch (which at least accesses the I-cache).
+    return st.ts.hasNext() && !st.frontPipe.atCapacity() ? st.now
+                                                         : invalidCycle;
+}
+
 void
 FetchStage::squash(PipelineState &st, SeqNum keep_seq, Cycle resume_fetch_at)
 {

@@ -26,6 +26,7 @@ class FetchStage : public Stage
 
     const char *name() const override { return "fetch"; }
     void tick(PipelineState &st) override;
+    Cycle nextActiveCycle(PipelineState &st) const override;
     void squash(PipelineState &st, SeqNum keep_seq,
                 Cycle resume_fetch_at) override;
     void resetStats() override;

@@ -148,6 +148,21 @@ IssueStage::tick(PipelineState &st)
     s.iqOccupancySum += st.iq.size();
 }
 
+Cycle
+IssueStage::nextActiveCycle(PipelineState &st) const
+{
+    // tick()'s sleep test: only a sleeping stage can skip its scan.
+    if (!asleep || st.iqWakeEpoch != wakeEpoch)
+        return st.now;
+    return std::max(st.now, wakeAt);
+}
+
+void
+IssueStage::skipIdle(const PipelineState &st, Cycle n)
+{
+    s.iqOccupancySum += st.iq.size() * n;
+}
+
 bool
 IssueStage::storeExecuted(const PipelineState &st, SeqNum store_seq) const
 {

@@ -25,6 +25,8 @@ class IssueStage : public Stage
 
     const char *name() const override { return "issue"; }
     void tick(PipelineState &st) override;
+    Cycle nextActiveCycle(PipelineState &st) const override;
+    void skipIdle(const PipelineState &st, Cycle n) override;
     void squash(PipelineState &st, SeqNum keep_seq,
                 Cycle resume_fetch_at) override;
     void resetStats() override;

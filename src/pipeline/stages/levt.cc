@@ -19,6 +19,12 @@ LevtStage::tick(PipelineState &)
     // file comment); nothing to do on the free-running tick.
 }
 
+Cycle
+LevtStage::nextActiveCycle(PipelineState &) const
+{
+    return invalidCycle;  // its work is commit's (see tick)
+}
+
 int
 LevtStage::readNeeds(const PipelineState &st, const DynInst &di,
                      int *banks_out) const

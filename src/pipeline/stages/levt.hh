@@ -35,6 +35,7 @@ class LevtStage : public Stage
 
     const char *name() const override { return "levt"; }
     void tick(PipelineState &st) override;
+    Cycle nextActiveCycle(PipelineState &st) const override;
     void resetStats() override;
     void addStats(CoreStats &out) const override;
 

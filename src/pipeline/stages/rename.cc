@@ -6,6 +6,18 @@
 
 namespace eole {
 
+namespace {
+
+/** Does @p u allocate a physical register? Writes to the int zero
+ *  register are architecturally dropped and allocate nothing. */
+bool
+writesReg(const TraceUop &u)
+{
+    return u.hasDst() && !(u.dstClass == RegClass::Int && u.dst == 0);
+}
+
+} // namespace
+
 RenameStage::RenameStage(const SimConfig &cfg)
     : renameWidth(cfg.renameWidth), dispatchWidth(cfg.dispatchWidth),
       prfBanks(cfg.prfBanks), earlyExec(cfg.earlyExec),
@@ -20,20 +32,11 @@ RenameStage::tick(PipelineState &st)
     renameGroup.clear();
 
     while (static_cast<int>(renameGroup.size()) < renameWidth
-           && st.renameOut.size() < 2 * static_cast<size_t>(dispatchWidth)
-           && st.frontPipe.canPop(st.now)) {
-        const DynInstPtr &peek = st.frontPipe.front();
-
+           && canTake(st)) {
         // Banked free-list check before consuming the µ-op.
-        const bool has_dst = peek->uop().hasDst()
-            && !(peek->uop().dstClass == RegClass::Int && peek->uop().dst == 0);
-        int bank = 0;
-        if (has_dst) {
-            bank = st.bankCursor % prfBanks;
-            if (!st.prfOf(peek->uop().dstClass).bankHasFree(bank)) {
-                ++s.renameBankStalls;
-                break;
-            }
+        if (headBankStalled(st)) {
+            ++s.renameBankStalls;
+            break;
         }
 
         DynInstPtr di = st.frontPipe.pop(st.now);
@@ -49,9 +52,9 @@ RenameStage::tick(PipelineState &st)
         }
 
         // Rename destination (bank-aware round-robin allocation).
-        if (has_dst) {
+        if (writesReg(di->uop())) {
             PhysRegFile &f = st.prfOf(di->uop().dstClass);
-            const RegIndex phys = f.allocFromBank(bank);
+            const RegIndex phys = f.allocFromBank(st.bankCursor % prfBanks);
             di->physDst = phys;
             di->oldPhysDst = st.mapOf(di->uop().dstClass).rename(di->uop().dst,
                                                                phys);
@@ -124,6 +127,39 @@ RenameStage::tick(PipelineState &st)
             st.tracer->event(st.now, di->seq, PipeEvent::Rename, annot);
         }
     }
+}
+
+bool
+RenameStage::canTake(const PipelineState &st) const
+{
+    return st.renameOut.size() < 2 * static_cast<size_t>(dispatchWidth)
+        && st.frontPipe.canPop(st.now);
+}
+
+bool
+RenameStage::headBankStalled(const PipelineState &st) const
+{
+    const TraceUop &u = st.frontPipe.front()->uop();
+    return writesReg(u)
+        && !st.prfOf(u.dstClass).bankHasFree(st.bankCursor % prfBanks);
+}
+
+Cycle
+RenameStage::nextActiveCycle(PipelineState &st) const
+{
+    if (st.renameOut.size() >= 2 * static_cast<size_t>(dispatchWidth))
+        return invalidCycle;  // dispatch must drain the buffer first
+    const Cycle ready = st.frontPipe.frontReadyCycle();
+    if (ready > st.now)
+        return ready;  // invalidCycle for an empty pipe
+    return headBankStalled(st) ? invalidCycle : st.now;
+}
+
+void
+RenameStage::skipIdle(const PipelineState &st, Cycle n)
+{
+    if (canTake(st) && headBankStalled(st))
+        s.renameBankStalls += n;
 }
 
 bool

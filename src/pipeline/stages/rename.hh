@@ -30,6 +30,8 @@ class RenameStage : public Stage
 
     const char *name() const override { return "rename"; }
     void tick(PipelineState &st) override;
+    Cycle nextActiveCycle(PipelineState &st) const override;
+    void skipIdle(const PipelineState &st, Cycle n) override;
     void squash(PipelineState &st, SeqNum keep_seq,
                 Cycle resume_fetch_at) override;
     void onFetchRedirect(PipelineState &st) override;
@@ -44,6 +46,14 @@ class RenameStage : public Stage
     bool tryEarlyExecute(DynInst &di);
 
   private:
+    /** tick()'s loop guard minus the group-width term: room in the
+     *  rename-out buffer and a µ-op ready in the front-end pipe. */
+    bool canTake(const PipelineState &st) const;
+
+    /** Does the front-end pipe's head find its destination bank
+     *  empty (the banked free-list stall)? */
+    bool headBankStalled(const PipelineState &st) const;
+
     struct Stats
     {
         std::uint64_t renameBankStalls = 0;

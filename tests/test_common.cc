@@ -161,6 +161,27 @@ TEST(DelayedPipe, EnforcesCapacity)
     EXPECT_FALSE(p.canPush(1));
 }
 
+TEST(DelayedPipe, FrontReadyCycleAndCapacity)
+{
+    DelayedPipe<int> p(3, 0, 2);
+    EXPECT_EQ(p.frontReadyCycle(), invalidCycle);
+    EXPECT_FALSE(p.atCapacity());
+    p.push(10, 1);
+    EXPECT_EQ(p.frontReadyCycle(), 13u);
+    p.push(11, 2);
+    EXPECT_EQ(p.frontReadyCycle(), 13u);  // the oldest item decides
+    EXPECT_TRUE(p.atCapacity());
+    EXPECT_FALSE(p.canPush(12));
+    EXPECT_EQ(p.pop(13), 1);
+    EXPECT_EQ(p.frontReadyCycle(), 14u);
+    EXPECT_FALSE(p.atCapacity());
+    // Bandwidth alone never reports capacity.
+    DelayedPipe<int> q(1, 1);
+    q.push(0, 1);
+    EXPECT_FALSE(q.canPush(0));
+    EXPECT_FALSE(q.atCapacity());
+}
+
 TEST(DelayedPipe, RemoveIfDropsMatching)
 {
     DelayedPipe<int> p(1, 0);
@@ -278,6 +299,82 @@ TEST(TimingWheel, SchedulingBehindTheCursorPanics)
     TimingWheel<int, 8> w;
     w.drainUpTo(10, [](Cycle, int) {});
     EXPECT_DEATH(w.schedule(5, 1), "behind drain cursor");
+}
+
+TEST(TimingWheel, NextEventCycleOfEmptyWheelIsInvalid)
+{
+    TimingWheel<int, 8> w;
+    EXPECT_EQ(w.nextEventCycle(), invalidCycle);
+    w.schedule(3, 1);
+    drained(w, 3);
+    EXPECT_EQ(w.nextEventCycle(), invalidCycle);
+}
+
+TEST(TimingWheel, NextEventCycleFindsTheNearestSlot)
+{
+    TimingWheel<int, 8> w;
+    w.schedule(6, 60);
+    w.schedule(2, 20);
+    w.schedule(4, 40);
+    EXPECT_EQ(w.nextEventCycle(), 2u);
+    drained(w, 2);
+    EXPECT_EQ(w.nextEventCycle(), 4u);
+    drained(w, 5);
+    EXPECT_EQ(w.nextEventCycle(), 6u);
+    // Wrapping past the end of the slot array.
+    w.schedule(9, 90);
+    drained(w, 6);
+    EXPECT_EQ(w.nextEventCycle(), 9u);
+}
+
+TEST(TimingWheel, NextEventCycleOfOverflowOnly)
+{
+    TimingWheel<int, 8> w;
+    w.schedule(30, 300);  // overflow
+    w.schedule(20, 200);  // overflow
+    EXPECT_EQ(w.nextEventCycle(), 20u);
+    w.schedule(5, 50);    // a nearer wheel entry wins
+    EXPECT_EQ(w.nextEventCycle(), 5u);
+    drained(w, 5);
+    EXPECT_EQ(w.nextEventCycle(), 20u);
+}
+
+TEST(TimingWheel, NextEventCycleOfSameCycleSplit)
+{
+    // Cycle 10 is held by the overflow map while the window slides
+    // over it; same-cycle schedules then append to that entry while
+    // later cycles land in wheel slots.
+    TimingWheel<int, 8> w;
+    w.schedule(10, 100);  // overflow
+    drained(w, 4);
+    w.schedule(10, 101);
+    w.schedule(11, 110);  // wheel
+    EXPECT_EQ(w.nextEventCycle(), 10u);
+    w.schedule(9, 90);    // wheel, before the overflow cycle
+    EXPECT_EQ(w.nextEventCycle(), 9u);
+    drained(w, 9);
+    EXPECT_EQ(w.nextEventCycle(), 10u);
+    EXPECT_EQ(drained(w, 10).size(), 2u);
+    EXPECT_EQ(w.nextEventCycle(), 11u);
+}
+
+TEST(TimingWheel, NextEventCycleBehindAForwardJump)
+{
+    // A functional-warm clock jump leaves entries behind the caller's
+    // `now` until the next drain: they are reported at their own
+    // cycle (the caller clamps), then delivered late.
+    TimingWheel<int, 8> w;
+    drained(w, 3);
+    w.schedule(5, 50);
+    w.schedule(40, 400);  // overflow
+    const Cycle now = 1000;
+    EXPECT_EQ(w.nextEventCycle(), 5u);
+    EXPECT_LT(w.nextEventCycle(), now);
+    const auto out = drained(w, now);
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(w.nextEventCycle(), invalidCycle);
+    w.schedule(now + 3, 7);
+    EXPECT_EQ(w.nextEventCycle(), now + 3);
 }
 
 TEST(StatRecord, GetAndPrefix)

@@ -9,6 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "isa/assembler.hh"
 #include "pipeline/core.hh"
 #include "sim/configs.hh"
@@ -344,3 +348,233 @@ INSTANTIATE_TEST_SUITE_P(
         ConfigWorkloadCase{"ole", "depchain"},
         ConfigWorkloadCase{"eoe", "186.crafty"},
         ConfigWorkloadCase{"eoe", "independent"}));
+
+// ------------------------- Idle-cycle skip -------------------------
+//
+// Core::run jumps over cycles in which no stage can act (the
+// quiescence contract, pipeline/stages/stage.hh). The reference is a
+// core that ticks every cycle: one of its stages is wrapped in a
+// pass-through decorator that keeps Stage's default nextActiveCycle
+// (st.now), which turns the skip off. Every statistic, memory
+// hierarchy included, must match bit for bit.
+
+namespace {
+
+/** Delegates everything to the wrapped stage except, unless
+ *  @p forwardIdle, the quiescence promise. Counts ticks. */
+class PassThrough : public Stage
+{
+  public:
+    PassThrough(std::unique_ptr<Stage> inner_, bool forward_idle)
+        : inner(std::move(inner_)), forwardIdle(forward_idle)
+    {
+    }
+
+    const char *name() const override { return inner->name(); }
+
+    void
+    tick(PipelineState &st) override
+    {
+        ++ticks;
+        inner->tick(st);
+    }
+
+    Cycle
+    nextActiveCycle(PipelineState &st) const override
+    {
+        return forwardIdle ? inner->nextActiveCycle(st)
+                           : Stage::nextActiveCycle(st);
+    }
+
+    void
+    skipIdle(const PipelineState &st, Cycle n) override
+    {
+        inner->skipIdle(st, n);
+    }
+
+    void
+    squash(PipelineState &st, SeqNum keep_seq, Cycle resume) override
+    {
+        inner->squash(st, keep_seq, resume);
+    }
+
+    void
+    onFetchRedirect(PipelineState &st) override
+    {
+        inner->onFetchRedirect(st);
+    }
+
+    void resetStats() override { inner->resetStats(); }
+    void addStats(CoreStats &out) const override { inner->addStats(out); }
+
+    std::uint64_t ticks = 0;
+
+  private:
+    std::unique_ptr<Stage> inner;
+    bool forwardIdle;
+};
+
+/** A core whose completion stage (outside the squash order and the
+ *  commit->LE/VT link, so no rewiring) is wrapped; @p skip keeps the
+ *  idle-cycle skip on. */
+struct WrappedCore
+{
+    WrappedCore(const SimConfig &cfg, const Workload &w, bool skip)
+        : core(cfg, w, wrap(cfg, skip, &probe))
+    {
+    }
+
+    static StagePipeline
+    wrap(const SimConfig &cfg, bool skip, PassThrough **out)
+    {
+        StagePipeline p = buildDefaultPipeline(cfg);
+        for (auto &stage : p.stages) {
+            if (std::string(stage->name()) == "completion") {
+                auto wrapped =
+                    std::make_unique<PassThrough>(std::move(stage), skip);
+                *out = wrapped.get();
+                stage = std::move(wrapped);
+            }
+        }
+        return p;
+    }
+
+    PassThrough *probe = nullptr;
+    Core core;
+};
+
+/** First differing stat between two records, or "" when equal. */
+std::string
+firstDiff(const StatRecord &a, const StatRecord &b)
+{
+    const auto &x = a.all();
+    const auto &y = b.all();
+    for (std::size_t i = 0; i < std::min(x.size(), y.size()); ++i) {
+        if (x[i] != y[i]) {
+            return x[i].first + ": " + std::to_string(x[i].second)
+                + " vs " + y[i].first + ": "
+                + std::to_string(y[i].second);
+        }
+    }
+    return x.size() == y.size() ? "" : "record lengths differ";
+}
+
+/** Eight banks of 12 int registers: rename bank-stalls, and keeps
+ *  stalling through idle stretches, long before the IQ fills. */
+SimConfig
+tightBankedPrf()
+{
+    SimConfig c = configs::eoleBanked(4, 64, 8);
+    c.name += "_96regs";
+    c.physIntRegs = 96;
+    return c;
+}
+
+std::vector<SimConfig>
+idleSkipConfigs()
+{
+    return {
+        // fig12
+        configs::baselineVp(6, 64), configs::baseline(6, 64),
+        configs::eole(4, 64), configs::eoleConstrained(4, 64, 4, 4),
+        // fig07 narrow issue, fig08 small IQ
+        configs::baselineVp(4, 64), configs::baselineVp(6, 48),
+        configs::eole(6, 48),
+        // every per-cycle stall counter accrues in bulk somewhere
+        tightBankedPrf()};
+}
+
+// torture:11:300 (~14k µ-ops) drains inside the measured window.
+const char *const idleSkipWorkloads[] = {"429.mcf", "197.parser",
+                                         "173.applu", "torture:11:300",
+                                         "torture:12:700"};
+
+} // namespace
+
+TEST(IdleSkip, WarmupThenMeasureMatchesTickingEveryCycle)
+{
+    // Warmup -> resetStats -> measure is the trailing-cycle trap: a
+    // skip taken after the warmup's commit target would move the clock
+    // and add cycles to the measured window.
+    CoreStats seen;  // every bulk-accrued counter must be exercised
+    for (const SimConfig &cfg : idleSkipConfigs()) {
+        for (const char *name : idleSkipWorkloads) {
+            SCOPED_TRACE(cfg.name + " / " + name);
+            const Workload w = workloads::build(name);
+            WrappedCore skip(cfg, w, true);
+            WrappedCore ref(cfg, w, false);
+            for (WrappedCore *c : {&skip, &ref}) {
+                c->core.run(4000, 4000000);
+                c->core.resetStats();
+            }
+            ASSERT_EQ(skip.core.cycle(), ref.core.cycle());
+            EXPECT_EQ(skip.core.run(12000, 4000000),
+                      ref.core.run(12000, 4000000));
+            EXPECT_EQ(skip.core.cycle(), ref.core.cycle());
+            EXPECT_EQ(firstDiff(skip.core.record(), ref.core.record()), "");
+            EXPECT_EQ(ref.probe->ticks, ref.core.cycle());
+            const CoreStats &s = skip.core.stats();
+            seen.robFullStalls += s.robFullStalls;
+            seen.iqFullStalls += s.iqFullStalls;
+            seen.renameBankStalls += s.renameBankStalls;
+            seen.iqOccupancySum += s.iqOccupancySum;
+        }
+    }
+    EXPECT_GT(seen.robFullStalls, 0u);
+    EXPECT_GT(seen.iqFullStalls, 0u);
+    EXPECT_GT(seen.renameBankStalls, 0u);
+    EXPECT_GT(seen.iqOccupancySum, 0u);
+}
+
+TEST(IdleSkip, SkipsMostOfADramBoundRun)
+{
+    // Guard against a vacuous differential test: on 429.mcf the
+    // skipping core must tick far fewer cycles than it simulates.
+    const Workload w = workloads::build("429.mcf");
+    WrappedCore skip(configs::eole(4, 64), w, true);
+    skip.core.run(10000, 4000000);
+    EXPECT_LT(skip.probe->ticks * 2, skip.core.cycle());
+}
+
+TEST(IdleSkip, MaxCyclesBoundInsideAnIdleStretch)
+{
+    // Short max_cycles chunks end inside idle stretches: the jump must
+    // clamp to the bound exactly and resume from there.
+    const SimConfig cfg = configs::baselineVp(6, 64);
+    const Workload w = workloads::build("429.mcf");
+    WrappedCore skip(cfg, w, true);
+    WrappedCore ref(cfg, w, false);
+    for (int chunk = 0; chunk < 400; ++chunk) {
+        const std::uint64_t bound = 13 + chunk % 97;
+        const Cycle start = skip.core.cycle();
+        ASSERT_EQ(skip.core.run(~0ULL, bound), ref.core.run(~0ULL, bound));
+        ASSERT_EQ(skip.core.cycle(), start + bound);
+        ASSERT_EQ(skip.core.cycle(), ref.core.cycle());
+    }
+    EXPECT_LT(skip.probe->ticks, skip.core.cycle());
+    EXPECT_EQ(firstDiff(skip.core.record(), ref.core.record()), "");
+}
+
+TEST(IdleSkip, FunctionalWarmBetweenDetailedRuns)
+{
+    // Detailed run -> functional warm -> detailed run: the warm pass
+    // jumps the clock past completions still on the wheel, which must
+    // drain (and complete at the new `now`) on the very next tick.
+    const SimConfig cfg = configs::eole(4, 64);
+    Workload w = workloads::build("429.mcf");
+    w.frozen = w.freeze(60000);
+    WrappedCore skip(cfg, w, true);
+    WrappedCore ref(cfg, w, false);
+    for (WrappedCore *c : {&skip, &ref}) {
+        c->core.run(3000, 4000000);
+        ASSERT_FALSE(c->core.pipelineState().completions.empty());
+        c->core.functionalWarm(*w.frozen, 10000, 40000);
+        ASSERT_LT(c->core.pipelineState().completions.nextEventCycle(),
+                  c->core.cycle());
+        c->core.resetStats();
+    }
+    ASSERT_EQ(skip.core.cycle(), ref.core.cycle());
+    EXPECT_EQ(skip.core.run(10000, 4000000), ref.core.run(10000, 4000000));
+    EXPECT_EQ(skip.core.cycle(), ref.core.cycle());
+    EXPECT_EQ(firstDiff(skip.core.record(), ref.core.record()), "");
+}
