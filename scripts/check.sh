@@ -12,18 +12,19 @@
 #   --with-bench   also run the fig13 modularity bench (stage-swap
 #                  self-check + the EOLE/OLE/EOE grid) on the short
 #                  run lengths.
-#   --bench        simulator-speed regression gate: run `eole bench`
-#                  on a reduced budget and `--compare` against the
-#                  newest committed BENCH_*.json trajectory file
-#                  (by commit date, so the gate tracks the latest
-#                  trajectory point instead of a hardcoded name),
-#                  `--fail-below 0.8` (fail on a >20% geomean
-#                  regression). The committed baseline was measured
-#                  on the reference CI host; on other machines, or
-#                  when the build is a Debug build, the gate demotes
-#                  to a warning (set EOLE_BENCH_BASELINE to a
-#                  locally-recorded artifact for a hard gate
-#                  anywhere).
+#   --bench        paired same-host speed gate: check out a base
+#                  commit (EOLE_BENCH_BASE, default HEAD~1) with
+#                  `git worktree` under build/bench-base, then run
+#                  perfbench's sweep_full workload (`perfbench/run.py
+#                  --trace 0`, a RelWithDebInfo build of its own) in
+#                  the base tree and in this one, alternating which
+#                  side goes first, over 5 seeds at a short
+#                  --seconds. Fails when the median per-seed ratio of
+#                  uops_per_cpu_s (this tree / base) is below 0.8 (a
+#                  >20% regression), or when any run reports
+#                  `correct: false` or `failed > 0`. Both sides run on
+#                  the same host minutes apart, so no foreign baseline
+#                  file is involved.
 #   --shard        sharded-sweep lane: run the smoke plan as 3
 #                  `eole shard` slices, `eole merge` them and require
 #                  the merged artifact byte-identical to the
@@ -39,11 +40,14 @@
 #                  a `ckpt save` whose store-hit checkpoint write
 #                  fails), the filter-no-match diagnostic of `ckpt
 #                  save`, and a 3-shard sweep whose merged telemetry
-#                  must summarize to the full cell set. The zero-cost-off speed claim
-#                  is the --bench lane's job: tracer/profiler/telemetry
-#                  hooks are compiled into the hot loop, so any
-#                  disabled-path cost shows up there as a geomean
-#                  regression.
+#                  must summarize to the full cell set, and an
+#                  EOLE_PROF=1 run that must print its profile table
+#                  (stage.issue) while leaving the artifact
+#                  byte-identical. The zero-cost-off speed claim is the
+#                  --bench lane's job: tracer/profiler/telemetry hooks
+#                  are compiled into the hot loop, so any disabled-path
+#                  cost shows up there as a paired uops_per_cpu_s
+#                  regression against the base commit.
 #   --trace        on-disk trace lane: record a workload to an
 #                  eole-trace-v1 file, validate it with `trace info`,
 #                  run the same smoke cell from `file:` and from the
@@ -61,9 +65,11 @@
 #   --sample       additionally run the sampling lanes:
 #                  (1) the sample_validation bench at a 1M-µop
 #                  measure — full vs re-warm vs warm-once-restore,
-#                  requiring restore >= 2x over PR 3's B=0 re-warming
-#                  with bit-equal interval IPCs (paper-grade 5M-µop
-#                  runs demonstrate larger wins);
+#                  requiring one workload within CI, with bit-equal
+#                  interval IPCs, whose re-warm path functionally warms
+#                  >= 2x the µ-ops the restore path does (the
+#                  deterministic sample_warm_uops count; wall clock is
+#                  printed for information only);
 #                  (2) a warm-once v2 lane: a sampled smoke run whose
 #                  artifact must carry nonzero
 #                  sample_restored_intervals (proof the restore path,
@@ -161,74 +167,113 @@ if ! cmp build/smoke.planfile.json build/smoke.compiled.json; then
 fi
 echo "check.sh: plan-file artifact byte-identical to compiled plan"
 
+# Strict CLI numbers: a malformed or out-of-range value exits 2 with a
+# diagnostic instead of being truncated or half-parsed. The --jobs
+# values are rejected while parsing, before any worker starts.
+expect_exit2() {
+    local rc=0
+    "$@" > build/exit2.out 2> build/exit2.err || rc=$?
+    if [[ "$rc" != 2 ]] || ! grep -q 'eole: ' build/exit2.err; then
+        cat build/exit2.err >&2
+        echo "check.sh: \`${*:2}\` exited $rc (want 2 with a" \
+             "diagnostic)" >&2
+        exit 1
+    fi
+}
+smoke=build/smoke.compiled.json
+expect_exit2 ./build/eole diff "$smoke" "$smoke" --rel-tol abc
+expect_exit2 ./build/eole diff "$smoke" "$smoke" --rel-tol 1e-3x
+expect_exit2 ./build/eole diff "$smoke" "$smoke" --abs-tol abc
+expect_exit2 ./build/eole diff "$smoke" "$smoke" --abs-tol -1
+expect_exit2 ./build/eole run smoke --jobs 4294967297 --quiet --no-tables
+expect_exit2 ./build/eole run smoke --jobs 2147483648 --quiet --no-tables
+expect_exit2 ./build/eole bench
+if ! ./build/eole diff "$smoke" "$smoke" --rel-tol 1e-3 --abs-tol 0 \
+     > /dev/null; then
+    echo "check.sh: eole diff rejected valid tolerances" >&2
+    exit 1
+fi
+echo "check.sh: malformed numeric flags and unknown commands exit 2"
+
 if [[ "$WITH_BENCH" == 1 ]]; then
     ./build/fig13_modularity
 fi
 
 if [[ "$WITH_SPEED_GATE" == 1 ]]; then
-    echo "check.sh: simulator-speed regression gate"
-    # Baseline: EOLE_BENCH_BASELINE when set, else the newest committed
-    # BENCH_*.json by commit date — the latest point of the trajectory,
-    # so the gate never pins a stale (or deleted) artifact by name.
-    BENCH_BASELINE="${EOLE_BENCH_BASELINE:-}"
-    if [[ -n "$BENCH_BASELINE" && ! -f "$BENCH_BASELINE" ]]; then
-        echo "check.sh: EOLE_BENCH_BASELINE=$BENCH_BASELINE does not" \
-             "exist" >&2
+    echo "check.sh: paired same-host speed gate (perfbench sweep_full)"
+    BENCH_BASE="${EOLE_BENCH_BASE:-HEAD~1}"
+    if ! base_rev="$(git rev-parse --verify -q "$BENCH_BASE^{commit}")";
+    then
+        echo "check.sh: EOLE_BENCH_BASE=$BENCH_BASE is not a commit" >&2
         exit 2
     fi
-    if [[ -z "$BENCH_BASELINE" ]]; then
-        newest_ts=0
-        # ls-files is sorted, so >= makes same-commit ties resolve to
-        # the lexicographically last name — the newest snapshot when a
-        # trajectory lands in one commit (baseline, pr6, ...).
-        while IFS= read -r f; do
-            ts="$(git log -1 --format=%ct -- "$f" 2>/dev/null || echo 0)"
-            if [[ "${ts:-0}" -ge "$newest_ts" ]]; then
-                newest_ts="$ts"
-                BENCH_BASELINE="$f"
+    base_tree=build/bench-base
+    gate_dir=build/benchgate
+    remove_base_tree() {
+        git worktree remove --force "$base_tree" 2>/dev/null || true
+        rm -rf "$base_tree"
+        git worktree prune
+    }
+    remove_base_tree
+    trap remove_base_tree EXIT
+    git worktree add --detach --quiet "$base_tree" "$base_rev"
+    if [[ ! -f "$base_tree/perfbench/run.py" ]]; then
+        echo "check.sh: base $BENCH_BASE ($base_rev) has no perfbench/" >&2
+        exit 2
+    fi
+    rm -rf "$gate_dir"
+    mkdir -p "$gate_dir"
+    # Each pair alternates which side goes first, so a host that gets
+    # faster or slower during the lane favours neither side.
+    for seed in 1 2 3 4 5; do
+        if (( seed % 2 )); then sides=(change base); else sides=(base change); fi
+        for side in "${sides[@]}"; do
+            tree=.
+            [[ "$side" == base ]] && tree="$base_tree"
+            if ! (cd "$tree" && python3 perfbench/run.py \
+                      --workload sweep_full --seed "$seed" --seconds 2 \
+                      --trace 0) > "$gate_dir/$side.$seed.out"; then
+                tail -20 "$gate_dir/$side.$seed.out" >&2
+                echo "check.sh: perfbench FAILED ($side, seed $seed)" >&2
+                exit 1
             fi
-        done < <(git ls-files 'BENCH_*.json')
-        if [[ -z "$BENCH_BASELINE" ]]; then
-            echo "check.sh: no committed BENCH_*.json baseline found;" \
-                 "record one with \`eole bench --out BENCH_<label>.json\`" \
-                 "and commit it, or set EOLE_BENCH_BASELINE" >&2
-            exit 2
-        fi
-        echo "check.sh: bench baseline $BENCH_BASELINE" \
-             "(newest committed BENCH_*.json)"
-    fi
-    # Reduced budget: µops/sec is a rate, so a 200k-µop measurement is
-    # comparable to the committed 1M-µop baseline, just noisier — which
-    # is why the threshold is a full 20%.
-    if ! ./build/eole bench --budget 200000 --warmup 20000 --reps 2 \
-         --label ci --quiet --out build/bench_ci.json; then
-        echo "check.sh: eole bench FAILED" >&2
+        done
+    done
+    if ! python3 - "$gate_dir" <<'EOF'
+import json, statistics, sys
+gate_dir, ratios, ok = sys.argv[1], [], True
+for seed in range(1, 6):
+    rate = {}
+    for side in ("base", "change"):
+        with open("%s/%s.%d.out" % (gate_dir, side, seed)) as f:
+            result = json.loads(f.read().splitlines()[-1])
+        if not result["correct"] or result["failed"] > 0:
+            print("check.sh: %s seed %d: correct=%s failed=%d"
+                  % (side, seed, result["correct"], result["failed"]))
+            ok = False
+        rate[side] = result["metrics"]["uops_per_cpu_s"]["value"]
+    ratios.append(rate["change"] / rate["base"])
+    print("check.sh: seed %d uops_per_cpu_s base %.0f change %.0f "
+          "ratio %.3f" % (seed, rate["base"], rate["change"], ratios[-1]))
+median = statistics.median(ratios)
+print("check.sh: median uops_per_cpu_s ratio (change/base) %.3f, "
+      "bound 0.8" % median)
+sys.exit(0 if ok and median >= 0.8 else 1)
+EOF
+    then
+        echo "check.sh: speed gate FAILED against $BENCH_BASE ($base_rev)" >&2
         exit 1
     fi
-    BUILD_TYPE="$(sed -n 's/^CMAKE_BUILD_TYPE:[^=]*=//p' \
-                      build/CMakeCache.txt)"
-    if [[ "$BUILD_TYPE" == "Debug" || -n "${EOLE_BENCH_SOFT:-}" ]]; then
-        # Debug builds (or an explicitly soft run) report but never
-        # fail: absolute µops/sec is meaningless without optimization.
-        ./build/eole bench --compare "$BENCH_BASELINE" \
-            build/bench_ci.json \
-          || echo "check.sh: WARNING: bench below baseline" \
-                  "(soft: build type '$BUILD_TYPE')" >&2
-    elif ! ./build/eole bench --compare "$BENCH_BASELINE" \
-           build/bench_ci.json --fail-below 0.8; then
-        echo "check.sh: simulator speed regressed >20% vs" \
-             "$BENCH_BASELINE" >&2
-        exit 1
-    fi
+    remove_base_tree
+    trap - EXIT
 fi
 
 if [[ "$WITH_SAMPLE" == 1 ]]; then
     echo "check.sh: sampled-vs-full validation lane"
-    # 1M µ-ops, 2x target: long enough to amortize trace recording so
-    # the wall-clock check means something, short enough for CI. The
-    # bench requires at least one workload that is simultaneously
-    # within its sampled CI, bit-equal between the restore and re-warm
-    # paths, and >= 2x faster restored than re-warmed.
+    # 1M µ-ops, 2x target: short enough for CI. The bench requires at
+    # least one workload that is simultaneously within its sampled CI,
+    # bit-equal between the restore and re-warm paths, and whose
+    # re-warm path warms >= 2x the µ-ops the restore path does.
     if ! EOLE_WARMUP=50000 EOLE_INSTS=1000000 \
          EOLE_SAMPLE_MIN_SPEEDUP=2 ./build/sample_validation; then
         echo "check.sh: sample_validation FAILED" >&2
@@ -484,6 +529,26 @@ if [[ "$WITH_OBS" == 1 ]]; then
         exit 1
     fi
     echo "check.sh: 3-shard telemetry summarizes to the full cell set"
+
+    # EOLE_PROF=1 prints the tick-loop profile to stderr and changes
+    # nothing else: the artifact must match the plain run's bytes.
+    if ! EOLE_PROF=1 ./build/eole run smoke --filter "EOLE_4_64/164.gzip" \
+         --quiet --no-tables --out build/obslane/prof.json \
+         2> build/obslane/prof.err; then
+        cat build/obslane/prof.err >&2
+        echo "check.sh: EOLE_PROF=1 run FAILED" >&2
+        exit 1
+    fi
+    if ! grep -q 'stage.issue' build/obslane/prof.err; then
+        cat build/obslane/prof.err >&2
+        echo "check.sh: EOLE_PROF=1 run printed no profile table" >&2
+        exit 1
+    fi
+    if ! cmp build/obslane/prof.json build/obslane/plain.json; then
+        echo "check.sh: EOLE_PROF=1 changed the artifact" >&2
+        exit 1
+    fi
+    echo "check.sh: EOLE_PROF=1 profiles without perturbing the artifact"
 fi
 
 if [[ "$WITH_TRACE" == 1 ]]; then

@@ -9,9 +9,8 @@
  * reconfigure is an accepted limitation (the dirty flag still marks
  * uncommitted edits from the configured state).
  *
- * The string is stamped into sweep artifacts, bench JSON, and
- * telemetry manifests so every result file records which binary made
- * it. Readers treat the field as opaque and informational: artifact
+ * The string is stamped into sweep artifacts and telemetry manifests
+ * so every result file records which binary made it. Readers treat the field as opaque and informational: artifact
  * diffing and shard-merge provenance checks ignore it, keeping
  * byte-identity contracts same-binary properties.
  */

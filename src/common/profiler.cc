@@ -3,6 +3,9 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <ostream>
+
+#include "common/logging.hh"
 
 namespace eole {
 namespace prof {
@@ -99,6 +102,32 @@ add(Section s, std::uint64_t nanos)
 {
     g_slots[s].nanos.fetch_add(nanos, std::memory_order_relaxed);
     g_slots[s].count.fetch_add(1, std::memory_order_relaxed);
+}
+
+void
+writeTable(std::ostream &os)
+{
+    auto topLevel = [](Section s) {
+        return s <= StageOther || s == WarmFunctional || s == WarmRestore;
+    };
+    double total = 0.0;
+    for (int i = 0; i < NumSections; ++i) {
+        const auto s = static_cast<Section>(i);
+        if (topLevel(s))
+            total += sectionNanos(s) * 1e-9;
+    }
+    auto row = [&](const char *name, double secs, const char *note) {
+        os << csprintf("  %-16s %9.3f s %6.1f%%%s\n", name, secs,
+                       total > 0.0 ? 100.0 * secs / total : 0.0, note);
+    };
+    for (int i = 0; i < NumSections; ++i) {
+        const auto s = static_cast<Section>(i);
+        if (sectionNanos(s)) {
+            row(sectionName(s), sectionNanos(s) * 1e-9,
+                topLevel(s) ? "" : "  (within stage)");
+        }
+    }
+    row("total", total, "");
 }
 
 } // namespace prof

@@ -7,8 +7,8 @@
  * accumulate wall nanoseconds in relaxed atomics. The whole facility
  * hides behind one global bool: when profiling is off, a ScopedTimer
  * costs a single predictable branch and no clock reads, so leaving the
- * instrumentation compiled into the hot tick loop is free (the bench
- * lane enforces this).
+ * instrumentation compiled into the hot tick loop is free (the paired
+ * `scripts/check.sh --bench` lane would show any disabled-path cost).
  *
  * Nesting: the Model* sections time model calls made *inside* stage
  * ticks (e.g. the value-predictor lookup inside fetch), so they are
@@ -17,8 +17,10 @@
  * over the top-level sections only: sum(Stage*) + sum(Warm*) <= total
  * measured wall time (modulo clock-read overhead).
  *
- * Enabled via EOLE_PROF=1 in the environment or setEnabled(true)
- * (`eole bench --profile` uses the latter).
+ * Enabled via EOLE_PROF=1 in the environment or setEnabled(true).
+ * `EOLE_PROF=1 eole run|shard|ckpt save` prints writeTable() to stderr
+ * when the run finishes; the accumulators are process-wide, so on a
+ * worker pool each section's seconds are summed over all threads.
  */
 
 #ifndef EOLE_COMMON_PROFILER_HH
@@ -26,6 +28,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <iosfwd>
 
 namespace eole {
 namespace prof {
@@ -65,6 +68,14 @@ std::uint64_t sectionNanos(Section s);
 std::uint64_t sectionCount(Section s);
 
 void add(Section s, std::uint64_t nanos);
+
+/**
+ * Print every section with a non-zero accumulator: its seconds and its
+ * share of the top-level total (stage.* + warm.*). model.* sections
+ * nest inside stage ticks, so they are marked and left out of the
+ * total; the last line is the total itself.
+ */
+void writeTable(std::ostream &os);
 
 /**
  * Times one section for the enclosing scope. When profiling is

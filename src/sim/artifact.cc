@@ -203,11 +203,9 @@ readJsonArtifact(std::istream &is)
     p.expect('}');
     p.finish();
 
-    // v1 artifacts predate embedded config maps; their cells read back
-    // with empty params (diff treats a wholly-absent map as one
-    // difference per cell, not one per key).
-    fatal_if(schema != "eole-sweep-v2" && schema != "eole-sweep-v1",
-             "unsupported artifact schema \"%s\"", schema.c_str());
+    fatal_if(schema != "eole-sweep-v2",
+             "unsupported artifact schema \"%s\" (want eole-sweep-v2)",
+             schema.c_str());
     return result;
 }
 
@@ -276,29 +274,19 @@ diffArtifacts(const PlanResult &a, const PlanResult &b,
             report("cell " + id + " missing from b");
             continue;
         }
-        if (ca.params.empty() != cb->params.empty()) {
-            // One side is a legacy v1 artifact: one difference per
-            // cell, not one per key.
-            report(id + ": config map missing from "
-                   + (ca.params.empty() ? "a" : "b"));
-        } else {
-            for (const auto &[key, va] : ca.params) {
-                const std::string *vb = paramOf(*cb, key);
-                if (!vb) {
-                    report(id + ": config key " + key
-                           + " missing from b");
-                } else if (*vb != va) {
-                    report(id + ": config drift: " + key + " a=" + va
-                           + " b=" + *vb);
-                }
+        for (const auto &[key, va] : ca.params) {
+            const std::string *vb = paramOf(*cb, key);
+            if (!vb) {
+                report(id + ": config key " + key + " missing from b");
+            } else if (*vb != va) {
+                report(id + ": config drift: " + key + " a=" + va
+                       + " b=" + *vb);
             }
-            for (const auto &[key, vb] : cb->params) {
-                (void)vb;
-                if (!paramOf(ca, key)) {
-                    report(id + ": config key " + key
-                           + " missing from a");
-                }
-            }
+        }
+        for (const auto &[key, vb] : cb->params) {
+            (void)vb;
+            if (!paramOf(ca, key))
+                report(id + ": config key " + key + " missing from a");
         }
         for (const auto &[stat, va] : ca.stats.all()) {
             if (!cb->stats.has(stat)) {

@@ -13,8 +13,9 @@
  * Schema v2 embeds each cell's complete canonical configuration map
  * ("params": registry keys -> canonical value text, sim/params.hh), so
  * an artifact records what a config *was*, not just its name, and
- * diffArtifacts reports config drift alongside stat drift. v1
- * artifacts (no params) still read; their cells carry empty maps.
+ * diffArtifacts reports config drift alongside stat drift. The reader
+ * accepts eole-sweep-v2 only; v1 (no params) predates the parameter
+ * registry and is rejected with a diagnostic.
  */
 
 #ifndef EOLE_SIM_ARTIFACT_HH

@@ -1,7 +1,7 @@
 /**
  * @file
- * Experiment infrastructure: per-cell results, run-length knobs and
- * paper-style table formatting (grids run through sim/sweep.hh).
+ * Experiment infrastructure: per-cell results and run-length knobs
+ * (grids run through sim/sweep.hh, tables print from printPlanTables).
  *
  * Run lengths follow DESIGN.md §5: each (config, workload) pair warms
  * all structures for EOLE_WARMUP µ-ops (default 1M) and measures for
@@ -33,8 +33,7 @@ struct RunResult
      * (sim/params.hh configKeyValues of the plan's config, before the
      * per-job seed override), embedded so artifacts record what a
      * config *was*, not just its name — `eole diff` reports config
-     * drift from it. Empty only for artifacts read from the legacy
-     * v1 schema.
+     * drift from it.
      */
     std::vector<std::pair<std::string, std::string>> params;
 
@@ -52,32 +51,8 @@ std::uint64_t measureUops();
 /** Worker threads for grids (EOLE_THREADS env var, default = cores). */
 int runnerThreads();
 
-/** Find a result in a grid (fatal if absent). */
-const RunResult &findResult(const std::vector<RunResult> &results,
-                            const std::string &config,
-                            const std::string &workload);
-
 /** Geometric mean of a vector of ratios. */
 double geomean(const std::vector<double> &xs);
-
-/**
- * Print a paper-style table: one row per workload, one column per
- * configuration, cell = stat value; followed by a geometric-mean row
- * when the stat is a speedup.
- *
- * @param title table heading
- * @param results the grid
- * @param cfg_names column order
- * @param stat stat to show (e.g. "ipc", "offload_frac")
- * @param normalize_to config name whose value divides each row
- *        (empty = absolute values)
- */
-void printTable(const std::string &title,
-                const std::vector<RunResult> &results,
-                const std::vector<std::string> &cfg_names,
-                const std::vector<std::string> &workload_names,
-                const std::string &stat,
-                const std::string &normalize_to = "");
 
 } // namespace eole
 

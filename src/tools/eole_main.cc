@@ -12,8 +12,6 @@
  *   eole store ls|gc <dir>            inspect / bound a --store
  *                                     content-addressed result cache
  *   eole diff <a.json> <b.json>       compare two artifacts
- *   eole bench [--out BENCH_x.json]   time detailed-mode µops/sec
- *                                     (--compare diffs two artifacts)
  *   eole ckpt save|info               write / inspect eole-ckpt-v2
  *                                     warm-state checkpoint files
  *
@@ -32,6 +30,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -50,8 +50,8 @@
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/pipetrace.hh"
+#include "common/profiler.hh"
 #include "sim/artifact.hh"
-#include "sim/bench.hh"
 #include "sim/configs.hh"
 #include "sim/experiment.hh"
 #include "sim/params.hh"
@@ -242,30 +242,6 @@ usage(FILE *to, int exit_code)
         "      rv64:<log stem>. See DESIGN.md §13 for the cracking\n"
         "      table and the unsupported-instruction list.\n"
         "\n"
-        "  eole bench [--configs A,B] [--workloads X,Y] [--budget N]\n"
-        "             [--warmup N] [--reps K] [--label L] [--out F]\n"
-        "             [--profile] [--quiet]\n"
-        "      Time detailed-mode simulation speed (µops/sec), one\n"
-        "      serial cell per (config, workload): discard --warmup\n"
-        "      µ-ops (default 100k), time --budget measured µ-ops\n"
-        "      (default 1M), keep the fastest of --reps repetitions\n"
-        "      (default 3). Configs default to the fig12 set,\n"
-        "      workloads to a 3-benchmark smoke set (file:<path.trace>\n"
-        "      specs accepted). --out writes a\n"
-        "      canonical eole-bench-v1 JSON artifact (the committed\n"
-        "      BENCH_<label>.json trajectory files). --profile\n"
-        "      attributes each cell's wall time to pipeline stages and\n"
-        "      models (per-cell breakdown tables + a profile section\n"
-        "      in the JSON); profiled timings carry the timer overhead,\n"
-        "      so compare them only against other profiled runs.\n"
-        "      EOLE_PROF=1 enables the same timers in any command.\n"
-        "\n"
-        "  eole bench --compare <a.json> <b.json> [--fail-below X]\n"
-        "      Per-cell speedup report of b over a from two bench\n"
-        "      artifacts, plus the geomean over common cells. With\n"
-        "      --fail-below, exit 1 when that geomean is below X\n"
-        "      (e.g. 0.8 = fail on a >20%% regression).\n"
-        "\n"
         "  eole diff <a.json> <b.json> [--rel-tol X] [--abs-tol X]\n"
         "            [--ci]\n"
         "      Compare two artifacts; exit 1 if they differ beyond\n"
@@ -286,8 +262,13 @@ usage(FILE *to, int exit_code)
         "\n"
         "  eole --version\n"
         "      Print build provenance (git describe, compiler, build\n"
-        "      type) — the same string stamped into artifacts, bench\n"
-        "      JSON and telemetry manifests.\n");
+        "      type) — the same string stamped into artifacts and\n"
+        "      telemetry manifests.\n"
+        "\n"
+        "EOLE_PROF=1 on run, shard or ckpt save prints the tick-loop\n"
+        "profile (seconds per pipeline stage and model, summed over\n"
+        "worker threads) to stderr when the run finishes; artifacts\n"
+        "and stdout are unchanged.\n");
     return exit_code;
 }
 
@@ -310,6 +291,20 @@ parseU64(const std::string &s, const char *what)
     std::uint64_t v = 0;
     if (!parseU64Strict(s, &v)) {
         std::fprintf(stderr, "eole: bad %s \"%s\"\n", what, s.c_str());
+        std::exit(2);
+    }
+    return v;
+}
+
+/** A finite, non-negative number spelled in full (no trailing text). */
+double
+parseTolerance(const std::string &s, const char *what)
+{
+    char *end = nullptr;
+    const double v = std::strtod(s.c_str(), &end);
+    if (s.empty() || *end || !std::isfinite(v) || v < 0.0) {
+        std::fprintf(stderr, "eole: bad %s \"%s\" (want a number >= 0)\n",
+                     what, s.c_str());
         std::exit(2);
     }
     return v;
@@ -614,7 +609,13 @@ struct RunRequest
         } else if (takeValue(argc, argv, i, "--filter", value)) {
             opt.filter = value;
         } else if (takeValue(argc, argv, i, "--jobs", value)) {
-            opt.jobs = static_cast<int>(parseU64(value, "--jobs"));
+            const std::uint64_t jobs = parseU64(value, "--jobs");
+            if (jobs > INT_MAX) {
+                std::fprintf(stderr, "eole: bad --jobs \"%s\" (at most "
+                             "%d)\n", value.c_str(), INT_MAX);
+                std::exit(2);
+            }
+            opt.jobs = static_cast<int>(jobs);
         } else if (takeValue(argc, argv, i, "--store", value)) {
             storeDir = value;
         } else if (takeValue(argc, argv, i, "--telemetry", value)) {
@@ -764,11 +765,18 @@ struct RunRequest
         }
     }
 
+    /** End the telemetry stream and, under EOLE_PROF=1, print the
+     *  tick-loop profile to stderr (never into artifacts or stdout). */
     void
     finish(std::size_t cells) const
     {
         if (telem)
             telem->runFinish(cells);
+        if (prof::enabled()) {
+            std::cerr << "profile (EOLE_PROF=1, seconds summed over "
+                         "worker threads; share of stage.* + warm.*):\n";
+            prof::writeTable(std::cerr);
+        }
     }
 };
 
@@ -1254,111 +1262,6 @@ cmdCkpt(int argc, char **argv)
     return usage(stderr, 2);
 }
 
-int
-cmdBench(int argc, char **argv)
-{
-    BenchOptions opt;
-    std::string out_path, value;
-    std::vector<std::string> compare_paths;
-    double fail_below = 0.0;
-    bool have_fail_below = false;
-    for (int i = 0; i < argc; ++i) {
-        if (takeValue(argc, argv, i, "--configs", value)) {
-            for (std::string &n : splitCommaList(value))
-                opt.configs.push_back(std::move(n));
-        } else if (takeValue(argc, argv, i, "--workloads", value)) {
-            for (std::string &n : splitCommaList(value))
-                opt.workloads.push_back(std::move(n));
-        } else if (takeValue(argc, argv, i, "--budget", value)) {
-            opt.budget = parseU64(value, "--budget");
-        } else if (takeValue(argc, argv, i, "--warmup", value)) {
-            opt.warmup = parseU64(value, "--warmup");
-        } else if (takeValue(argc, argv, i, "--reps", value)) {
-            opt.reps = static_cast<int>(parseU64(value, "--reps"));
-        } else if (takeValue(argc, argv, i, "--label", value)) {
-            opt.label = value;
-        } else if (takeValue(argc, argv, i, "--out", value)) {
-            out_path = value;
-        } else if (std::strcmp(argv[i], "--compare") == 0) {
-            if (i + 2 >= argc) {
-                std::fprintf(stderr,
-                             "eole: --compare needs two bench files\n");
-                return 2;
-            }
-            compare_paths.emplace_back(argv[++i]);
-            compare_paths.emplace_back(argv[++i]);
-        } else if (takeValue(argc, argv, i, "--fail-below", value)) {
-            char *end = nullptr;
-            fail_below = std::strtod(value.c_str(), &end);
-            if (end == value.c_str() || *end || fail_below <= 0.0) {
-                std::fprintf(stderr,
-                             "eole: bad --fail-below \"%s\"\n",
-                             value.c_str());
-                return 2;
-            }
-            have_fail_below = true;
-        } else if (std::strcmp(argv[i], "--profile") == 0) {
-            opt.profile = true;
-        } else if (std::strcmp(argv[i], "--quiet") == 0) {
-            opt.quiet = true;
-        } else {
-            std::fprintf(stderr, "eole: unknown option %s\n", argv[i]);
-            return usage(stderr, 2);
-        }
-    }
-    if (opt.quiet)
-        setLogLevel(LogLevel::Quiet);
-
-    if (!compare_paths.empty()) {
-        const BenchResult a = readBenchJsonFile(compare_paths[0]);
-        const BenchResult b = readBenchJsonFile(compare_paths[1]);
-        std::printf("bench compare: a=%s (%s), b=%s (%s)\n",
-                    compare_paths[0].c_str(), a.label.c_str(),
-                    compare_paths[1].c_str(), b.label.c_str());
-        const double g = compareBench(a, b, std::cout);
-        if (have_fail_below && g < fail_below) {
-            std::fprintf(stderr,
-                         "eole: bench: geomean speedup %.3f below "
-                         "threshold %.3f\n", g, fail_below);
-            return 1;
-        }
-        return 0;
-    }
-    if (have_fail_below) {
-        std::fprintf(stderr,
-                     "eole: --fail-below only applies to --compare\n");
-        return 2;
-    }
-
-    // file:<path> workload specs: bind the trace and bench under its
-    // canonical name, timing replay-from-mmap instead of a generator.
-    for (std::string &spec : opt.workloads) {
-        std::string resolved, err;
-        if (!resolveWorkloadSpec(spec, &resolved, &err)) {
-            std::fprintf(stderr, "eole: %s\n", err.c_str());
-            return 2;
-        }
-        spec = std::move(resolved);
-    }
-
-    const BenchResult result = runBench(opt);
-    if (opt.profile)
-        writeBenchProfileTable(std::cout, result);
-    std::printf("geomean: %.0f µops/s over %zu cell(s) (budget %llu, "
-                "warmup %llu, min of %d rep(s))\n",
-                result.geomeanUopsPerSec(), result.cells.size(),
-                (unsigned long long)result.budget,
-                (unsigned long long)result.warmup, result.reps);
-    if (!out_path.empty()) {
-        std::ofstream os(out_path);
-        fatal_if(!os, "cannot write %s", out_path.c_str());
-        writeBenchJson(os, result);
-        inform("wrote %s (%zu cells)", out_path.c_str(),
-               result.cells.size());
-    }
-    return 0;
-}
-
 /**
  * `eole trace` — the on-disk trace subsystem's CLI:
  *   record <workload> --out F [--uops N] [--store DIR]
@@ -1595,9 +1498,9 @@ cmdDiff(int argc, char **argv)
     std::string value;
     for (int i = 0; i < argc; ++i) {
         if (takeValue(argc, argv, i, "--rel-tol", value)) {
-            opt.relTol = std::strtod(value.c_str(), nullptr);
+            opt.relTol = parseTolerance(value, "--rel-tol");
         } else if (takeValue(argc, argv, i, "--abs-tol", value)) {
-            opt.absTol = std::strtod(value.c_str(), nullptr);
+            opt.absTol = parseTolerance(value, "--abs-tol");
         } else if (std::strcmp(argv[i], "--ci") == 0) {
             opt.ciOverlap = true;
         } else if (argv[i][0] == '-') {
@@ -1643,8 +1546,6 @@ main(int argc, char **argv)
         return cmdMerge(argc - 2, argv + 2);
     if (cmd == "store")
         return cmdStore(argc - 2, argv + 2);
-    if (cmd == "bench")
-        return cmdBench(argc - 2, argv + 2);
     if (cmd == "diff")
         return cmdDiff(argc - 2, argv + 2);
     if (cmd == "ckpt")

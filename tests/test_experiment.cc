@@ -112,32 +112,27 @@ TEST(Experiment, GridRunsAllPairsInParallel)
     const std::vector<SimConfig> cfgs = {configs::baseline(6, 64),
                                          configs::baselineVp(6, 64)};
     const std::vector<std::string> names = {"164.gzip", "186.crafty"};
-    const auto results = runPlan(gridPlan(cfgs, names)).cells;
-    ASSERT_EQ(results.size(), 4u);
+    const PlanResult result = runPlan(gridPlan(cfgs, names));
+    ASSERT_EQ(result.cells.size(), 4u);
 
     for (const auto &cfg : cfgs) {
         for (const auto &wname : names) {
-            const RunResult &r = findResult(results, cfg.name, wname);
-            EXPECT_GT(r.ipc(), 0.0) << cfg.name << "/" << wname;
+            const RunResult *r = result.find(cfg.name, wname);
+            ASSERT_NE(r, nullptr) << cfg.name << "/" << wname;
+            EXPECT_GT(r->ipc(), 0.0) << cfg.name << "/" << wname;
             // A commit group may overshoot the target by < commitWidth.
-            EXPECT_GE(r.stats.get("committed_uops"), 20000.0);
-            EXPECT_LT(r.stats.get("committed_uops"), 20008.0);
+            EXPECT_GE(r->stats.get("committed_uops"), 20000.0);
+            EXPECT_LT(r->stats.get("committed_uops"), 20008.0);
         }
     }
     // VP stats only present (non-zero) on the VP configuration.
-    EXPECT_EQ(findResult(results, "Baseline_6_64", "164.gzip")
-                  .stats.get("vp_used"),
-              0.0);
+    const RunResult *novp = result.find("Baseline_6_64", "164.gzip");
+    ASSERT_NE(novp, nullptr);
+    EXPECT_EQ(novp->stats.get("vp_used"), 0.0);
+    EXPECT_EQ(result.find("nope", "nothing"), nullptr);
 
     unsetenv("EOLE_WARMUP");
     unsetenv("EOLE_INSTS");
-}
-
-TEST(Experiment, FindResultDiesOnMissing)
-{
-    std::vector<RunResult> results;
-    EXPECT_DEATH((void)findResult(results, "nope", "nothing"),
-                 "no result");
 }
 
 // ------------------------- Sweep engine ----------------------------------

@@ -30,8 +30,8 @@
 #include "common/build_info.hh"
 #include "common/pipetrace.hh"
 #include "common/profiler.hh"
+#include "pipeline/core.hh"
 #include "sim/artifact.hh"
-#include "sim/bench.hh"
 #include "sim/configs.hh"
 #include "sim/plan.hh"
 #include "sim/sample/sample.hh"
@@ -161,6 +161,64 @@ TEST(Profiler, StageSectionsSumToAtMostWallTime)
     // stage.* and are excluded from the sum).
     EXPECT_GT(topNs, 0u);
     EXPECT_LE(topNs, wallNs);
+}
+
+TEST(Profiler, SectionsCoverMeasuredTime)
+{
+    // Time a warmed core's measured region directly: the stage timers
+    // tile the tick loop, so they account for most of the region
+    // without exceeding it.
+    SimConfig cfg;
+    ASSERT_TRUE(configs::findNamed("EOLE_4_64_2banks", &cfg));
+    Workload wl = workloads::build("164.gzip");
+    wl.frozen = wl.freeze(30000);
+    Core core(cfg, wl);
+    core.run(2000);
+    core.resetStats();
+
+    prof::setEnabled(true);
+    prof::reset();
+    const auto t0 = std::chrono::steady_clock::now();
+    core.run(20000);
+    const double secs = std::chrono::duration<double>(
+        std::chrono::steady_clock::now() - t0).count();
+    prof::setEnabled(false);
+
+    double top = 0.0;
+    for (int s = 0; s < prof::NumSections; ++s) {
+        const auto sec = static_cast<prof::Section>(s);
+        const std::string name = prof::sectionName(sec);
+        if (name.rfind("stage.", 0) == 0 || name.rfind("warm.", 0) == 0)
+            top += prof::sectionNanos(sec) * 1e-9;
+    }
+    EXPECT_GT(prof::sectionNanos(prof::ModelVpred), 0u);
+    EXPECT_LE(top, secs);
+    EXPECT_GE(top, 0.5 * secs);
+}
+
+TEST(Profiler, TableSharesAreOfTheTopLevelTotal)
+{
+    prof::setEnabled(false);
+    prof::reset();
+    prof::add(prof::StageIssue, 3000000000);
+    prof::add(prof::WarmFunctional, 1000000000);
+    prof::add(prof::ModelVpred, 2000000000);
+    std::ostringstream os;
+    prof::writeTable(os);
+    prof::reset();
+
+    // model.* nests inside a stage: marked, and outside the total.
+    const std::string t = os.str();
+    EXPECT_NE(t.find("stage.issue          3.000 s   75.0%\n"),
+              std::string::npos) << t;
+    EXPECT_NE(t.find("warm.functional      1.000 s   25.0%\n"),
+              std::string::npos) << t;
+    EXPECT_NE(t.find("model.vpred          2.000 s   50.0%  (within "
+                     "stage)\n"), std::string::npos) << t;
+    EXPECT_NE(t.find("total                4.000 s  100.0%\n"),
+              std::string::npos) << t;
+    // Sections that never ran are left out.
+    EXPECT_EQ(t.find("stage.fetch"), std::string::npos) << t;
 }
 
 TEST(Profiler, SectionNamesAreDotted)
@@ -483,69 +541,4 @@ TEST(BuildInfo, StampedIntoArtifacts)
     EXPECT_NE(jsonArtifactString(result).find(
                   "\"build\": \"" + info + "\""),
               std::string::npos);
-
-    BenchResult bench;
-    EXPECT_NE(benchJsonString(bench).find("\"build\": \"" + info + "\""),
-              std::string::npos);
-}
-
-// --- Bench profile ---------------------------------------------------------
-
-TEST(BenchProfile, SectionsCoverMeasuredTime)
-{
-    BenchOptions opt;
-    opt.configs = {"EOLE_4_64_2banks"};
-    opt.workloads = {"164.gzip"};
-    opt.budget = 20000;
-    opt.warmup = 2000;
-    opt.reps = 1;
-    opt.quiet = true;
-    opt.profile = true;
-    const BenchResult r = runBench(opt);
-    EXPECT_FALSE(prof::enabled());  // restored after the run
-
-    ASSERT_EQ(r.cells.size(), 1u);
-    const BenchCell &cell = r.cells[0];
-    ASSERT_FALSE(cell.profile.empty());
-    EXPECT_GT(cell.profileSeconds, 0.0);
-
-    double top = 0.0;
-    bool sawVpred = false;
-    for (const auto &[name, secs] : cell.profile) {
-        EXPECT_GT(secs, 0.0) << name;
-        if (name.rfind("stage.", 0) == 0 || name.rfind("warm.", 0) == 0)
-            top += secs;
-        sawVpred = sawVpred || name == "model.vpred";
-    }
-    EXPECT_TRUE(sawVpred);
-    // The stage timers tile the tick loop: they must account for most
-    // of the measured rep without exceeding it.
-    EXPECT_LE(top, cell.profileSeconds);
-    EXPECT_GE(top, 0.5 * cell.profileSeconds);
-
-    // The profile section survives the JSON round-trip canonically.
-    const std::string text = benchJsonString(r);
-    EXPECT_NE(text.find("\"profile\": {\"stage.fetch\": "),
-              std::string::npos);
-    std::istringstream is(text);
-    const BenchResult back = readBenchJson(is);
-    ASSERT_EQ(back.cells.size(), 1u);
-    EXPECT_EQ(back.cells[0].profile, cell.profile);
-    EXPECT_EQ(back.cells[0].profileSeconds, cell.profileSeconds);
-    EXPECT_EQ(benchJsonString(back), text);
-}
-
-TEST(BenchProfile, OffByDefault)
-{
-    BenchOptions opt;
-    opt.configs = {"Baseline_4_48"};
-    opt.workloads = {"164.gzip"};
-    opt.budget = 2000;
-    opt.warmup = 500;
-    opt.reps = 1;
-    opt.quiet = true;
-    const BenchResult r = runBench(opt);
-    ASSERT_EQ(r.cells.size(), 1u);
-    EXPECT_TRUE(r.cells[0].profile.empty());
-    EXPECT_EQ(benchJsonString(r).find("profile"), std::string::npos);
 }
