@@ -7,6 +7,10 @@
 # tests that pin golden values use their own explicit run lengths and
 # are unaffected.
 #
+# The default lane configures build/ with
+# CMAKE_COMPILE_WARNING_AS_ERROR=ON (a standard CMake variable): any
+# compiler warning in src/, tests/, bench/ or examples/ fails CI.
+#
 # Usage: scripts/check.sh [--with-bench] [--bench] [--tsan] [--sample]
 #                         [--shard] [--obs] [--trace]
 #   --with-bench   also run the fig13 modularity bench (stage-swap
@@ -77,10 +81,12 @@
 #                  an `eole ckpt save`/`info` round trip;
 #                  (3) the checkpoint/state suites (test_sample,
 #                  test_ckpt_state, test_torture incl. the checkpoint
-#                  fuzzer), the slab suite and the core suite (whose
+#                  fuzzer), the slab suite, the core suite (whose
 #                  IdleSkip.* tests drive the idle-cycle skip, clock
-#                  jumps over live wheel handles included) under
-#                  AddressSanitizer (-DEOLE_ASAN=ON, build-asan/).
+#                  jumps over live wheel handles included) and the
+#                  value-predictor suite (lookup records live inside
+#                  slab-recycled DynInsts) under AddressSanitizer
+#                  (-DEOLE_ASAN=ON, build-asan/).
 #                  The suites also run in the default ctest pass with
 #                  the standard per-suite timeout.
 #
@@ -135,7 +141,8 @@ run_ctest() {
     fi
 }
 
-cmake -B build -S . -DEOLE_TEST_TIMEOUT="$TEST_TIMEOUT"
+cmake -B build -S . -DEOLE_TEST_TIMEOUT="$TEST_TIMEOUT" \
+      -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build build -j "$JOBS"
 run_ctest build
 
@@ -311,18 +318,21 @@ if [[ "$WITH_SAMPLE" == 1 ]]; then
         exit 1
     fi
 
-    echo "check.sh: AddressSanitizer pass (checkpoint/state/slab/core suites)"
+    echo "check.sh: AddressSanitizer pass" \
+         "(checkpoint/state/slab/core/vpred suites)"
     # test_slab rides in this lane on purpose: the slab poisons free
     # slots under ASan, so a use-after-release of a pooled DynInst (e.g.
     # a completion-wheel handle dropped early) faults here. test_core
-    # rides along for the idle-cycle skip's differential tests.
+    # rides along for the idle-cycle skip's differential tests, and
+    # test_vpred because value-prediction lookups are held by value in
+    # those recycled DynInsts.
     cmake -B build-asan -S . -DEOLE_ASAN=ON \
           -DEOLE_TEST_TIMEOUT="$TEST_TIMEOUT"
     cmake --build build-asan -j "$JOBS" \
           --target test_sample test_ckpt_state test_torture test_slab \
-                   test_core
+                   test_core test_vpred
     run_ctest build-asan \
-        -R '^(test_sample|test_ckpt_state|test_torture|test_slab|test_core)$'
+        -R '^(test_sample|test_ckpt_state|test_torture|test_slab|test_core|test_vpred)$'
 fi
 
 if [[ "$WITH_SHARD" == 1 ]]; then

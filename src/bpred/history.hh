@@ -117,6 +117,9 @@ class GlobalHistory
     /** Folded value of registered component @p i. */
     std::uint32_t folded(std::size_t i) const { return folds[i].comp; }
 
+    /** Number of registered folds. */
+    std::size_t numFolds() const { return folds.size(); }
+
     std::uint64_t position() const { return pos; }
 
     Snapshot

@@ -40,7 +40,10 @@ struct DynInst
     BranchPrediction bp;
     BranchUnit::SnapshotPtr preSnap;
 
-    // Value prediction (VP-eligible µ-ops only).
+    // Value prediction (VP-eligible µ-ops only). The lookup record is
+    // a flat value (no heap state), so fetch's predict() allocates
+    // nothing and the slab pool's destroy/construct lap stays trivial
+    // for it.
     VpLookup vp;
     bool vpLookupValid = false;
     bool predictionUsed = false;  //!< confident: written to PRF, used
@@ -113,6 +116,9 @@ struct DynInst
     /** Can the LE/VT stage execute this µ-op at its head-of-ROB turn? */
     bool lateExecutable() const { return lateExecAlu || lateExecBranch; }
 };
+
+// Every queue scan walks DynInsts; growth here costs on every µ-op.
+static_assert(sizeof(DynInst) <= 384, "DynInst grew");
 
 /**
  * Owning handle to an in-flight µ-op. Pool-allocated (common/slab.hh)

@@ -160,7 +160,7 @@ bool
 tryReadShardArtifact(std::istream &is, ShardArtifact *out,
                      std::string *err)
 {
-    ShardReader r{is, err};
+    ShardReader r{is, err, {}, 0};
     ShardArtifact shard;
 
     if (!r.next("schema line"))

@@ -4,54 +4,44 @@ namespace eole {
 
 HybridVtage2DStride::HybridVtage2DStride(const VpConfig &config,
                                          std::uint64_t seed)
-    : vt(std::make_unique<Vtage>(config, seed ^ 0x1111)),
-      sp(std::make_unique<StridePredictor>(config, true, seed ^ 0x2222))
+    : vt(config, seed ^ 0x1111), sp(config, true, seed ^ 0x2222)
 {
 }
 
 std::vector<std::pair<int, int>>
 HybridVtage2DStride::foldSpecs() const
 {
-    return vt->foldSpecs();
+    return vt.foldSpecs();
 }
 
 void
 HybridVtage2DStride::bindHistory(const GlobalHistory &hist,
                                  std::size_t fold_base)
 {
-    vt->bindHistory(hist, fold_base);
+    vt.bindHistory(hist, fold_base);
 }
 
 VpLookup
 HybridVtage2DStride::predict(Addr pc)
 {
-    VpLookup vtl = vt->predict(pc);
-    VpLookup spl = sp->predict(pc);
-
     VpLookup l;
+    vt.predictInto(pc, l);
+    sp.predictInto(pc, l);
+
     // Arbitration: confident tagged VTAGE hit > confident 2D-Stride >
     // any tagged VTAGE hit > any 2D-Stride hit > VTAGE base.
-    const bool vt_tagged = vtl.provider >= 0;
-    int choice;
-    if (vt_tagged && vtl.confident) {
-        choice = 0;
-    } else if (spl.predictionMade && spl.confident) {
-        choice = 1;
-    } else if (vt_tagged) {
-        choice = 0;
-    } else if (spl.predictionMade) {
-        choice = 1;
-    } else {
-        choice = 0;  // VTAGE base
-    }
+    const bool vt_tagged = l.provider >= 0;
+    bool use_stride;
+    if (vt_tagged && l.vtConfident)
+        use_stride = false;
+    else if (l.stridePredicted && l.strideConfident)
+        use_stride = true;
+    else
+        use_stride = !vt_tagged && l.stridePredicted;
 
-    const VpLookup &c = choice == 0 ? vtl : spl;
-    l.predictionMade = c.predictionMade;
-    l.value = c.value;
-    l.confident = c.confident;
-    l.provider = choice;
-    l.sub[0] = std::make_unique<VpLookup>(std::move(vtl));
-    l.sub[1] = std::make_unique<VpLookup>(std::move(spl));
+    l.predictionMade = true;  // VTAGE always predicts
+    l.value = use_stride ? l.strideValue : l.vtValue;
+    l.confident = use_stride ? l.strideConfident : l.vtConfident;
     return l;
 }
 
@@ -59,15 +49,15 @@ void
 HybridVtage2DStride::commit(Addr pc, RegVal actual, const VpLookup &lookup)
 {
     // Both components always train (the paper's hybrid keeps both warm).
-    vt->commit(pc, actual, *lookup.sub[0]);
-    sp->commit(pc, actual, *lookup.sub[1]);
+    vt.commit(pc, actual, lookup);
+    sp.commit(pc, actual, lookup);
 }
 
 void
 HybridVtage2DStride::squash(Addr pc, const VpLookup &lookup)
 {
-    vt->squash(pc, *lookup.sub[0]);
-    sp->squash(pc, *lookup.sub[1]);
+    // Only the stride component tracks in-flight instances.
+    sp.squash(pc, lookup);
 }
 
 void
@@ -75,10 +65,11 @@ HybridVtage2DStride::warmUpdate(const TraceUop &uop)
 {
     if (!uop.vpPredictable())
         return;
-    const VpLookup vtl = vt->predict(uop.pc);
-    const VpLookup spl = sp->predict(uop.pc);
-    vt->commit(uop.pc, uop.result, vtl);
-    sp->commit(uop.pc, uop.result, spl);
+    VpLookup l;
+    vt.predictInto(uop.pc, l);
+    sp.predictInto(uop.pc, l);
+    vt.commit(uop.pc, uop.result, l);
+    sp.commit(uop.pc, uop.result, l);
 }
 
 void
@@ -87,8 +78,8 @@ HybridVtage2DStride::snapshotState(std::ostream &os) const
     SnapshotWriter w(os);
     w.tag("hybrid").u64(1);
     w.end();
-    vt->snapshotState(os);
-    sp->snapshotState(os);
+    vt.snapshotState(os);
+    sp.snapshotState(os);
 }
 
 void
@@ -98,8 +89,8 @@ HybridVtage2DStride::restoreState(std::istream &is)
     r.line("hybrid");
     r.fatalIf(r.u64("version") != 1, "unsupported version");
     r.endLine();
-    vt->restoreStateBody(r);
-    sp->restoreStateBody(r);
+    vt.restoreStateBody(r);
+    sp.restoreStateBody(r);
 }
 
 } // namespace eole

@@ -14,8 +14,6 @@
 #ifndef EOLE_VPRED_HYBRID_HH
 #define EOLE_VPRED_HYBRID_HH
 
-#include <memory>
-
 #include "vpred/stride.hh"
 #include "vpred/vtage.hh"
 
@@ -30,14 +28,16 @@ class HybridVtage2DStride : public ValuePredictor
     void bindHistory(const GlobalHistory &hist,
                      std::size_t fold_base) override;
 
+    /** Both components fill their own fields of one record (no
+     *  sub-records), then the chosen component's prediction is copied
+     *  into value/predictionMade/confident. */
     VpLookup predict(Addr pc) override;
     void commit(Addr pc, RegVal actual, const VpLookup &lookup) override;
     void squash(Addr pc, const VpLookup &lookup) override;
     const char *name() const override { return "VTAGE-2DStride"; }
 
     /** Functional-warming fast path: both components predict and
-     *  train directly, skipping the pipeline path's per-lookup
-     *  sub-record heap allocations (the arbitration chooser is
+     *  train directly, skipping the arbitration (the chooser is
      *  stateless, so component state evolves identically). */
     void warmUpdate(const TraceUop &uop) override;
 
@@ -46,12 +46,12 @@ class HybridVtage2DStride : public ValuePredictor
     void snapshotState(std::ostream &os) const override;
     void restoreState(std::istream &is) override;
 
-    Vtage &vtage() { return *vt; }
-    StridePredictor &stride() { return *sp; }
+    Vtage &vtage() { return vt; }
+    StridePredictor &stride() { return sp; }
 
   private:
-    std::unique_ptr<Vtage> vt;
-    std::unique_ptr<StridePredictor> sp;
+    Vtage vt;
+    StridePredictor sp;
 };
 
 } // namespace eole

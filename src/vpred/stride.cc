@@ -107,31 +107,40 @@ StridePredictor::indexOf(Addr pc) const
     return static_cast<std::uint32_t>(pc >> 2) & mask;
 }
 
-VpLookup
-StridePredictor::predict(Addr pc)
+void
+StridePredictor::predictInto(Addr pc, VpLookup &l)
 {
-    VpLookup l;
-    Entry &e = table[indexOf(pc)];
-    l.idx[0] = indexOf(pc);
+    l.strideIdx = indexOf(pc);
+    Entry &e = table[l.strideIdx];
     if (e.valid && e.tag == pc) {
         // Project past the in-flight instances of this static µ-op.
         const std::int64_t stride = twoDelta ? e.stride2 : e.stride1;
-        l.predictionMade = true;
-        l.value = e.lastValue
+        l.stridePredicted = true;
+        l.strideValue = e.lastValue
             + static_cast<RegVal>(stride) * (e.inflight + 1);
-        l.confident = fpc.saturated(e.conf);
+        l.strideConfident = fpc.saturated(e.conf);
         if (e.inflight < 0xffff) {
             ++e.inflight;
             l.inflightNoted = true;
         }
     }
+}
+
+VpLookup
+StridePredictor::predict(Addr pc)
+{
+    VpLookup l;
+    predictInto(pc, l);
+    l.predictionMade = l.stridePredicted;
+    l.value = l.strideValue;
+    l.confident = l.strideConfident;
     return l;
 }
 
 void
 StridePredictor::commit(Addr pc, RegVal actual, const VpLookup &lookup)
 {
-    Entry &e = table[lookup.idx[0]];
+    Entry &e = table[lookup.strideIdx];
     if (!e.valid || e.tag != pc) {
         e = Entry{};
         e.tag = pc;
@@ -152,8 +161,8 @@ StridePredictor::commit(Addr pc, RegVal actual, const VpLookup &lookup)
         e.stride1 = new_stride;
     }
     e.lastValue = actual;
-    if (lookup.predictionMade)
-        fpc.update(e.conf, lookup.value == actual, rng);
+    if (lookup.stridePredicted)
+        fpc.update(e.conf, lookup.strideValue == actual, rng);
 }
 
 void
@@ -217,7 +226,7 @@ StridePredictor::restoreState(std::istream &is)
 void
 StridePredictor::squash(Addr pc, const VpLookup &lookup)
 {
-    Entry &e = table[lookup.idx[0]];
+    Entry &e = table[lookup.strideIdx];
     if (lookup.inflightNoted && e.valid && e.tag == pc && e.inflight > 0)
         --e.inflight;
 }

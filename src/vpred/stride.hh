@@ -57,7 +57,7 @@ class LastValuePredictor : public ValuePredictor
  * the predicting stride when the same stride is observed twice in a
  * row, which avoids retraining glitches on a single irregular value.
  */
-class StridePredictor : public ValuePredictor
+class StridePredictor final : public ValuePredictor
 {
   public:
     /**
@@ -67,6 +67,10 @@ class StridePredictor : public ValuePredictor
                     std::uint64_t seed);
 
     VpLookup predict(Addr pc) override;
+    /** Fill only the stride fields of @p l (strideValue, strideIdx,
+     *  stridePredicted, strideConfident, inflightNoted); the hybrid
+     *  shares one record between its two components. */
+    void predictInto(Addr pc, VpLookup &l);
     void commit(Addr pc, RegVal actual, const VpLookup &lookup) override;
     void squash(Addr pc, const VpLookup &lookup) override;
     const char *name() const override

@@ -11,6 +11,12 @@
  *        commit(pc, actual, lookup) -- retirement-order training, or
  *        squash(pc, lookup)         -- the instance was squashed.
  *
+ * The record lives by value inside the µ-op's DynInst, which the
+ * per-core slab pool (common/slab.hh) destroys and re-constructs on
+ * every lap, so it is a flat, trivially copyable value: predict()
+ * allocates nothing, and the hybrid carries both components'
+ * provenance side by side instead of in owned sub-records.
+ *
  * The prediction is architecturally *used* by the pipeline only when
  * lookup.confident is set (saturated FPC counter).
  */
@@ -21,6 +27,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -31,7 +38,14 @@
 
 namespace eole {
 
-/** Per-lookup record carried by the µ-op until commit/squash. */
+/**
+ * Per-lookup record carried by the µ-op until commit/squash. The first
+ * three fields are the prediction the pipeline consumes; the rest is
+ * each predictor's provenance for retirement-order training, in
+ * disjoint fields so that the hybrid's two components share one record
+ * (and the hybrid copies the arbitrated component's prediction into
+ * the first three).
+ */
 struct VpLookup
 {
     static constexpr int maxComps = 8;
@@ -40,17 +54,29 @@ struct VpLookup
     bool predictionMade = false;
     bool confident = false;    //!< FPC saturated: pipeline uses it
 
-    // Provenance for retirement-order training.
-    int provider = -1;         //!< predictor-specific component id
-    int altProvider = -1;
-    RegVal altValue = 0;
+    // Table predictors. LVP: idx[0]. FCM: idx[0] history entry, idx[1]
+    // value entry. VTAGE: idx[0] base entry, idx[i + 1] / tag[i + 1]
+    // the entry of tagged component i in its flat table.
+    std::int8_t provider = -1;      //!< VTAGE: longest tagged hit, or -1
+    std::int8_t altProvider = -1;   //!< VTAGE: next tagged hit, or -1
+    bool vtConfident = false;       //!< VTAGE: its own confidence
+    RegVal vtValue = 0;             //!< VTAGE: its own prediction
+    RegVal altValue = 0;            //!< VTAGE: the alternate's value
     std::uint32_t idx[maxComps] = {};
     std::uint16_t tag[maxComps] = {};
-    bool inflightNoted = false;
 
-    // Hybrid: the sub-predictor lookups.
-    std::unique_ptr<VpLookup> sub[2];
+    // Stride and 2-Delta Stride (alone, or as the hybrid's component).
+    RegVal strideValue = 0;
+    std::uint32_t strideIdx = 0;
+    bool stridePredicted = false;
+    bool strideConfident = false;
+    bool inflightNoted = false;     //!< counted as an in-flight instance
 };
+
+static_assert(std::is_trivially_copyable_v<VpLookup>,
+              "VpLookup is copied by value into every DynInst");
+static_assert(sizeof(VpLookup) <= 104,
+              "VpLookup grew: every in-flight DynInst carries one");
 
 /** Supported predictor kinds. */
 enum class VpKind

@@ -26,18 +26,24 @@
 
 namespace eole {
 
-class Vtage : public ValuePredictor
+class Vtage final : public ValuePredictor
 {
   public:
     Vtage(const VpConfig &config, std::uint64_t seed);
 
     std::vector<std::pair<int, int>> foldSpecs() const override;
+    /** Must precede the first predict(): lookups read the folds. */
     void bindHistory(const GlobalHistory &hist,
                      std::size_t fold_base) override;
 
     VpLookup predict(Addr pc) override;
     void commit(Addr pc, RegVal actual, const VpLookup &lookup) override;
     const char *name() const override { return "VTAGE"; }
+
+    /** Fill only VTAGE's provenance fields of @p l (provider,
+     *  altProvider, vtValue, vtConfident, altValue, idx, tag); the
+     *  hybrid shares one record between its two components. */
+    void predictInto(Addr pc, VpLookup &l) const;
 
     void snapshotState(std::ostream &os) const override;
     void restoreState(std::istream &is) override;
@@ -64,15 +70,20 @@ class Vtage : public ValuePredictor
         bool valid = false;
     };
 
-    std::uint32_t baseIndex(Addr pc) const;
-    std::uint32_t taggedIndex(Addr pc, int comp) const;
-    std::uint16_t taggedTag(Addr pc, int comp) const;
     int tagBitsOf(int comp) const;
+    std::size_t compEntries() const { return taggedMask + std::size_t(1); }
 
     VpConfig cfg;
+    int numTagged;
+    std::uint32_t baseMask;
+    std::uint32_t taggedMask;   //!< index mask within one component
+    std::uint16_t tagMask[VpLookup::maxComps - 1] = {};
     std::vector<int> histLens;
     std::vector<BaseEntry> base;
-    std::vector<std::vector<TaggedEntry>> tagged;
+    /** All tagged components in one component-major table: component
+     *  i owns entries [i * compEntries(), (i + 1) * compEntries()), and
+     *  lookups record flat indices. */
+    std::vector<TaggedEntry> tagged;
     const GlobalHistory *hist = nullptr;
     std::size_t foldBase = 0;
     Fpc fpc;

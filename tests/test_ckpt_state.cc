@@ -16,12 +16,14 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bpred/branch_unit.hh"
 #include "common/env.hh"
+#include "common/hash.hh"
 #include "isa/checkpoint.hh"
 #include "mem/hierarchy.hh"
 #include "vpred/value_predictor.hh"
@@ -178,6 +180,71 @@ TEST(CkptState, ValuePredictorRoundTripsEveryKind)
         // The two streams trained identically: states stay equal.
         EXPECT_EQ(snapshotOf(*ref), snapshotOf(*fresh)) << ref->name();
     }
+}
+
+namespace {
+
+/** snapshotState of a @p kind predictor after a fixed pipeline-path
+ *  stream: eight torture traces' VP-eligible µ-ops with up to three
+ *  instances in flight, every seventh retired instance squashed
+ *  instead of committed. The seed is fixed (not EOLE_SAMPLE_SEED):
+ *  the digest is a golden constant. */
+std::string
+trainedSnapshot(VpKind kind)
+{
+    VpConfig vcfg;
+    vcfg.kind = kind;
+    auto vp = createValuePredictor(vcfg, 0x7a6e);
+    const BpConfig bp;
+    BranchUnit bu(bp, vp->foldSpecs(), 0x3333);
+    vp->bindHistory(bu.history(), bu.extraFoldBase());
+
+    struct InFlight
+    {
+        const TraceUop *uop;
+        VpLookup lookup;
+    };
+    std::deque<InFlight> inflight;
+    std::size_t retired = 0;
+    auto retireOldest = [&] {
+        const InFlight &f = inflight.front();
+        if (++retired % 7 == 0)
+            vp->squash(f.uop->pc, f.lookup);
+        else
+            vp->commit(f.uop->pc, f.uop->result, f.lookup);
+        inflight.pop_front();
+    };
+
+    for (std::uint64_t seed = 0x60de; seed < 0x60de + 8; ++seed) {
+        const auto trace = tortureTrace(seed);
+        for (const TraceUop &u : trace->uops) {
+            bu.warmUpdate(u);
+            if (!u.vpPredictable())
+                continue;
+            inflight.push_back({&u, vp->predict(u.pc)});
+            if (inflight.size() > 3)
+                retireOldest();
+        }
+        while (!inflight.empty())
+            retireOldest();
+    }
+    return snapshotOf(*vp);
+}
+
+} // namespace
+
+TEST(CkptState, VtageAndHybridSnapshotBytesArePinned)
+{
+    // Golden digests of the serialized tables: any change to the
+    // training decisions or to the order in which the tables are
+    // written (the vtage.comp lines above all) changes these, and
+    // would make existing eole-ckpt-v2 files restore differently.
+    EXPECT_EQ(sha256Hex(trainedSnapshot(VpKind::Vtage)),
+              "490fec15dfbdd0e3e565aedf1e97f230"
+              "87250030ee52ddf3d1286241ebad1b13");
+    EXPECT_EQ(sha256Hex(trainedSnapshot(VpKind::HybridVtage2DStride)),
+              "495adbce0221972a86778dc89f6cd2e4"
+              "f33ee8da34f88d98b912563ae1fa4803");
 }
 
 // ========================= MemHierarchy ==================================

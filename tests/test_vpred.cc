@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <functional>
+#include <sstream>
 
 #include "bpred/history.hh"
 #include "common/random.hh"
@@ -264,6 +266,103 @@ TEST(Hybrid, TrainsBothComponents)
     hy.stride().squash(pc, sl);
 }
 
+TEST(Hybrid, TrainsExactlyLikeItsStandaloneComponents)
+{
+    // The hybrid's two components share one lookup record. Fed the
+    // same pipeline-path stream — several instances per pc in flight,
+    // wrong-path tails squashed youngest first — they must predict,
+    // train and serialize exactly like a standalone VTAGE and a
+    // standalone 2-Delta Stride predictor seeded as the hybrid seeds
+    // them.
+    const std::uint64_t seed = 0xE01E;
+    VpConfig cfg = fastConfidenceConfig(VpKind::HybridVtage2DStride);
+    HybridVtage2DStride hy(cfg, seed);
+    Vtage vt(cfg, seed ^ 0x1111);
+    StridePredictor sp(cfg, true, seed ^ 0x2222);
+    GlobalHistory hist(hy.foldSpecs());
+    hy.bindHistory(hist, 0);
+    vt.bindHistory(hist, 0);
+
+    struct InFlight
+    {
+        Addr pc;
+        RegVal actual;
+        VpLookup h, v, s;
+    };
+    std::deque<InFlight> inflight;
+    auto retireOldest = [&] {
+        const InFlight &f = inflight.front();
+        hy.commit(f.pc, f.actual, f.h);
+        vt.commit(f.pc, f.actual, f.v);
+        sp.commit(f.pc, f.actual, f.s);
+        inflight.pop_front();
+    };
+
+    // Four static µ-ops: a constant, a stride, a value correlated with
+    // the newest branch direction, and noise.
+    const Addr pcs[] = {0x400000, 0x400040, 0x400080, 0x4000c0};
+    Rng rng(seed);
+    RegVal strided = 0;
+    int confident = 0, from_stride = 0;
+    for (int i = 0; i < 40000; ++i) {
+        const bool taken = rng.chance(0.5);
+        hist.push(taken);
+        const Addr pc = pcs[i % 4];
+        RegVal actual;
+        switch (i % 4) {
+          case 0: actual = 42; break;
+          case 1: actual = strided += 24; break;
+          case 2: actual = taken ? 111 : 222; break;
+          default: actual = rng.next(); break;
+        }
+
+        InFlight f{pc, actual, hy.predict(pc), vt.predict(pc),
+                   sp.predict(pc)};
+        ASSERT_EQ(f.h.provider, f.v.provider) << "i=" << i;
+        ASSERT_EQ(f.h.vtValue, f.v.value) << "i=" << i;
+        ASSERT_EQ(f.h.vtConfident, f.v.confident) << "i=" << i;
+        ASSERT_EQ(f.h.stridePredicted, f.s.predictionMade) << "i=" << i;
+        ASSERT_EQ(f.h.strideValue, f.s.value) << "i=" << i;
+        ASSERT_EQ(f.h.strideConfident, f.s.confident) << "i=" << i;
+        ASSERT_EQ(f.h.inflightNoted, f.s.inflightNoted) << "i=" << i;
+        // The used prediction is one of the two components'.
+        const bool stride_used = f.h.value == f.s.value
+            && f.h.confident == f.s.confident;
+        ASSERT_TRUE(stride_used
+                    || (f.h.value == f.v.value
+                        && f.h.confident == f.v.confident))
+            << "i=" << i;
+        confident += f.h.confident;
+        from_stride += f.h.value != f.v.value;
+        inflight.push_back(f);
+
+        if (rng.chance(1.0 / 16)) {
+            // Wrong path: squash the 1-3 youngest instances.
+            for (int k = 1 + int(rng.below(3)); k > 0 && !inflight.empty();
+                 --k) {
+                const InFlight &y = inflight.back();
+                hy.squash(y.pc, y.h);
+                vt.squash(y.pc, y.v);
+                sp.squash(y.pc, y.s);
+                inflight.pop_back();
+            }
+        } else if (inflight.size() > 12) {
+            retireOldest();
+        }
+    }
+    while (!inflight.empty())
+        retireOldest();
+    // The stream exercised both components and confident predictions.
+    EXPECT_GT(confident, 4000);
+    EXPECT_GT(from_stride, 1000);
+
+    std::ostringstream hy_os, vt_os, sp_os;
+    hy.snapshotState(hy_os);
+    vt.snapshotState(vt_os);
+    sp.snapshotState(sp_os);
+    EXPECT_EQ(hy_os.str(), "hybrid 1\n" + vt_os.str() + sp_os.str());
+}
+
 // ------------------------ Parameterized properties ------------------------
 
 struct PredictorPatternCase
@@ -302,8 +401,9 @@ TEST_P(PredictorProperty, MeetsCoverageAndAccuracyFloor)
     }
     auto [cov, acc] = h.train(0x400000, 4000, value);
     EXPECT_GE(cov, param.min_coverage) << param.pattern;
-    if (cov > 0)
+    if (cov > 0) {
         EXPECT_GE(acc, param.min_accuracy) << param.pattern;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -375,8 +475,9 @@ TEST(Fpc, CounterNeverExceedsSaturationAndResetsOnWrong)
         const bool correct = rng.chance(0.999);
         fpc.update(ctr, correct, rng);
         ASSERT_LE(ctr, fpc.max());
-        if (!correct)
+        if (!correct) {
             ASSERT_EQ(ctr, 0);
+        }
         was_saturated = was_saturated || fpc.saturated(ctr);
     }
     EXPECT_TRUE(was_saturated);  // the walk does reach the ceiling
